@@ -75,9 +75,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return c
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self):
         """Leading (exponent, coefficient) in graded-lex order."""
         exps = max(self.terms, key=_grlex_key)
@@ -211,11 +208,20 @@ class Polynomial:
 
 # -- polynomial gcd ------------------------------------------------------------
 #
-# Content/primitive-part recursion on the last occurring variable, with a
-# primitive pseudo-remainder sequence.  Inputs here are tiny (degree <= 6,
-# few variables), so no attempt at subresultant optimizations is made.
-# The result is primitive with positive leading coefficient; in particular
-# the gcd of two nonzero constants is 1.
+# Two exact short-circuits come first:
+#
+#   * A monomial input: up to units, the divisors of a monomial are
+#     monomials, so the gcd is x^m with m the least exponent of each
+#     variable over all terms of both inputs.
+#   * No variable occurs in both inputs (a nonzero constant input among
+#     them): a common factor of polynomials in disjoint sets of variables
+#     lies in QQ, so the gcd is 1.
+#
+# Otherwise: content/primitive-part recursion on the last occurring
+# variable, with a primitive pseudo-remainder sequence.  The recursive
+# content gcds meet the short-circuits too.  The result is primitive with
+# positive leading coefficient; in particular the gcd of two nonzero
+# constants is 1.
 
 
 def _degree_in(p, i):
@@ -230,17 +236,6 @@ def _coeffs_in(p, i):
         rest = exps[:i] + (0,) + exps[i + 1:]
         coeffs[exps[i]] = coeffs[exps[i]] + Polynomial(p.field, {rest: c})
     return coeffs
-
-def _from_coeffs(field, coeffs, i):
-    total = Polynomial(field, {})
-    for d, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        shift = {}
-        for exps, v in c.terms.items():
-            shift[exps[:i] + (exps[i] + d,) + exps[i + 1:]] = v
-        total = total + Polynomial(field, shift)
-    return total
 
 
 def _pseudo_rem(p, q, i):
@@ -268,14 +263,15 @@ def poly_gcd(p, q):
         return q.primitive()
     if q.is_zero():
         return p.primitive()
-    # last variable occurring in either polynomial
-    var = -1
-    for i in reversed(range(p.field.nvars)):
-        if _degree_in(p, i) or _degree_in(q, i):
-            var = i
-            break
-    if var == -1:
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        least = tuple(map(min, zip(*p.terms, *q.terms)))
+        return Polynomial(p.field, {least: Fraction(1)})
+    in_p = [any(col) for col in zip(*p.terms)]
+    in_q = [any(col) for col in zip(*q.terms)]
+    if not any(a and b for a, b in zip(in_p, in_q)):
         return Polynomial.constant(p.field, 1)
+    # last variable occurring in either polynomial
+    var = max(i for i, (a, b) in enumerate(zip(in_p, in_q)) if a or b)
     cp = _content_in(p, var)
     cq = _content_in(q, var)
     c = poly_gcd(cp, cq)

@@ -8,8 +8,11 @@ import pytest
 from lckverify.errors import DenominatorVanishes, MissingParameter, ParseError
 from lckverify.scalars import (
     QQ,
+    Polynomial,
     ScalarField,
+    _exact_div,
     eval_expression,
+    poly_gcd,
     scalar_eval,
     scalar_is_zero,
     sqrt_fraction,
@@ -140,3 +143,55 @@ def test_subs_partial():
 def test_qq_field_is_plain_rationals():
     x = QQ.parse("3/4 - 1/4")
     assert x.is_constant() and x.constant_value() == Fraction(1, 2)
+
+
+def poly(text):
+    return F.parse(text).num
+
+
+@pytest.mark.parametrize("p, q, g", [
+    ("6*a^2*b", "a*b^3 + a^3", "a"),   # monomial input
+    ("a^2*b", "a*b^2", "a*b"),          # two monomials
+    ("a + 1", "b + 2", "1"),            # no shared variable
+    ("2*a", "4", "1"),                  # constant input
+    ("0", "3*a*b", "a*b"),              # zero input
+])
+def test_poly_gcd_examples(p, q, g):
+    assert poly_gcd(poly(p), poly(q)) == poly(g)
+    assert poly_gcd(poly(q), poly(p)) == poly(g)
+
+
+def random_poly(rng, names, max_terms=3, max_exp=2):
+    """Nonzero polynomial with up to max_terms terms in the given variables."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(rng.randint(0, max_exp) if v in names else 0 for v in F.vars)
+            terms[exps] = terms.get(exps, 0) + Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                                        rng.randint(1, 3))
+        terms = {e: c for e, c in terms.items() if c}
+        if terms:
+            return Polynomial(F, terms)
+
+
+def test_poly_gcd_random_common_factor():
+    """gcd(p*h, q*h) divides both inputs and is divisible by h; when p and q
+    share no variable it is exactly h, up to a unit."""
+    rng = random.Random(19)
+    for _ in range(120):
+        names = list(F.vars)
+        rng.shuffle(names)
+        cut = rng.randint(1, len(names) - 1)
+        disjoint = rng.random() < 0.5
+        p = random_poly(rng, names[:cut] if disjoint else names)
+        q = random_poly(rng, names[cut:] if disjoint else names)
+        h = random_poly(rng, names, max_terms=rng.choice([1, 1, 2, 3]),
+                        max_exp=rng.choice([0, 2]))
+        ph, qh = p * h, q * h
+        g = poly_gcd(ph, qh)
+        assert g == g.primitive()
+        assert g * _exact_div(ph, g) == ph
+        assert g * _exact_div(qh, g) == qh
+        assert h.primitive() * _exact_div(g, h.primitive()) == g
+        if disjoint:
+            assert g == h.primitive()
