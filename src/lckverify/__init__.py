@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .exterior import KForm, interior_product, parse_form, wedge
 from .hermitian import (
-    Automorphism,
     ComplexStructure,
     dual_to_primal,
     gram_metric,
@@ -24,7 +23,7 @@ from .lck import (
     verify_lck,
 )
 from .liealg import LieAlgebra, parse_salamon
-from .scalars import QQ, Polynomial, Scalar, ScalarField, scalar_eval, scalar_is_zero
+from .scalars import QQ, Polynomial, Scalar, ScalarField
 from .solver import (
     SolutionSpace,
     degeneracy_certificate,
@@ -35,10 +34,10 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "QQ", "Polynomial", "Scalar", "ScalarField", "scalar_eval", "scalar_is_zero",
+    "QQ", "Polynomial", "Scalar", "ScalarField",
     "KForm", "wedge", "interior_product", "parse_form",
     "LieAlgebra", "parse_salamon",
-    "ComplexStructure", "Automorphism", "dual_to_primal", "is_complex_structure",
+    "ComplexStructure", "dual_to_primal", "is_complex_structure",
     "pullback_form", "is_automorphism", "is_j_invariant", "gram_metric",
     "is_positive_at",
     "LcKStructure", "Constraint", "verify_lck", "lee_form", "vaisman_test",

@@ -23,7 +23,6 @@ from . import linalg
 from .errors import SchemaError
 from .exterior import KForm, parse_form
 from .hermitian import (
-    Automorphism,
     ComplexStructure,
     commutes_with,
     coframe_substitution,
@@ -341,16 +340,15 @@ def verify_entry(entry):
     if entry.center_basis is not None:
         witness = _fractions(entry.center_witness)
         got = g.center(witness)
-        gq = g.instantiate(witness)
         expected = []
         for text in entry.center_basis:
             vec_form = parse_form(QQ, g.dim, text, degree=1)
             expected.append([vec_form.coeffs.get((i,), QQ.zero())
                              for i in range(1, g.dim + 1)])
-        _check(records, f"{entry.id}/center", _span_equal(got, expected, g.dim),
+        ok = _span_equal(got, expected, g.dim)
+        _check(records, f"{entry.id}/center", ok,
                witness=entry.center_witness or None,
-               residual="" if _span_equal(got, expected, g.dim) else
-               f"got {[[str(x) for x in v] for v in got]}")
+               residual="" if ok else f"got {[[str(x) for x in v] for v in got]}")
 
     for rec in entry.complex_structures:
         field = entry.field_for(rec.params)
@@ -385,15 +383,10 @@ def _verify_automorphism(entry, rec):
         matrix = [[QQ.scalar(eval_expression(rec.matrix[i * n + j], assignment))
                    for j in range(n)] for i in range(n)]
         ok = is_automorphism(gq, matrix)
-        constraint_ok = True
-        for c in rec.constraints:
-            con = parse_constraint(field, c)
-            constraint_ok = constraint_ok and con.holds_at(assignment)
-        commute_ok = True
-        if rec.J:
-            Jq = entry.complex_structure(rec.J, entry.field_for(
-                entry.j_record(rec.J).params)).instantiate(assignment)
-            commute_ok = commutes_with(matrix, Jq)
+        constraint_ok = all(parse_constraint(field, c).holds_at(assignment)
+                            for c in rec.constraints)
+        commute_ok = not rec.J or commutes_with(
+            matrix, entry.complex_structure(rec.J).instantiate(assignment))
         _check(records, f"{entry.id}/aut:{rec.name}@{k}",
                ok and constraint_ok and commute_ok, witness=sample,
                note="" if ok and constraint_ok and commute_ok else
@@ -447,13 +440,17 @@ def _verify_family(entry, fam):
     return records
 
 
-def _verify_no_lck(entry, rec):
-    records = []
-    jrec = entry.j_record(rec.J)
-    field = entry.field_for(jrec.params, rec.params)
+def _lee_setup(entry, rec):
+    """Algebra, J and theta of a no-lcK or replay record, over one field."""
+    field = entry.field_for(entry.j_record(rec.J).params, rec.params)
     g = entry.algebra(field)
     J = entry.complex_structure(rec.J, field)
-    theta = parse_form(field, g.dim, rec.theta, degree=1)
+    return g, J, parse_form(field, g.dim, rec.theta, degree=1)
+
+
+def _verify_no_lck(entry, rec):
+    records = []
+    g, J, theta = _lee_setup(entry, rec)
     space = (lck_space(g, J, theta) if rec.space == "lck"
              else twisted_closed_space(g, theta))
     sound = satisfies_conditions(space, g, theta, J if rec.space == "lck" else None)
@@ -469,11 +466,7 @@ def _verify_no_lck(entry, rec):
 
 def _verify_replay(entry, rec):
     records = []
-    jrec = entry.j_record(rec.J)
-    field = entry.field_for(jrec.params, rec.params)
-    g = entry.algebra(field)
-    J = entry.complex_structure(rec.J, field)
-    theta = parse_form(field, g.dim, rec.theta, degree=1)
+    g, J, theta = _lee_setup(entry, rec)
     twisted = twisted_closed_space(g, theta)
     full = lck_space(g, J, theta)
     ok = (twisted.dimension == rec.twisted_dim and full.dimension == rec.lck_dim
@@ -518,31 +511,12 @@ def verify_equivalence(entry):
     return records
 
 
-def verify_catalog(catalog, entry_ids=None, jobs=None):
-    """Verify entries (all by default), in parallel, with deterministic order."""
-    import concurrent.futures
-    import os
-
-    ids = entry_ids or [e.id for e in catalog.entries]
-    entries = [catalog.get(i) for i in ids]
-    if jobs is None:
-        jobs = int(os.environ.get("LCKVERIFY_JOBS", "0")) or min(8, len(entries)) or 1
-
-    def run(entry):
-        return entry.id, verify_entry(entry) + verify_equivalence(entry)
-
-    results = {}
-    if jobs > 1 and len(entries) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for eid, recs in pool.map(run, entries):
-                results[eid] = recs
-    else:
-        for entry in entries:
-            eid, recs = run(entry)
-            results[eid] = recs
+def verify_catalog(catalog, entry_ids=None):
+    """Verify entries (all by default), ordered by entry id."""
     records = []
-    for eid in sorted(results):
-        records.extend(results[eid])
+    for eid in sorted(set(entry_ids or [e.id for e in catalog.entries])):
+        entry = catalog.get(eid)
+        records.extend(verify_entry(entry) + verify_equivalence(entry))
     return records
 
 

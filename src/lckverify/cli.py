@@ -13,8 +13,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error.
 Machine reports are deterministic: records are ordered by id and the
-JSON is dumped with sorted keys; LCKVERIFY_JOBS caps the verification
-parallelism.
+JSON is dumped with sorted keys.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .catalog import (
     Check,
+    _fractions,
     load_builtin,
     load_catalog,
     verify_catalog,
@@ -44,9 +44,11 @@ from .constructions import (
 )
 from .errors import LckError, UsageError
 from .exterior import parse_form
-from .lck import lee_form, morse_novikov_betti, vaisman_test
+from .hermitian import ComplexStructure
+from .lck import LcKStructure, lee_form, morse_novikov_betti, vaisman_test
 from .liealg import parse_salamon
 from .scalars import ScalarField, parse_expression
+from .solver import lck_space, twisted_closed_space
 
 SCHEMA_VERSION = 1
 
@@ -144,9 +146,7 @@ def _collect_names(*texts):
         elif op in ("add", "sub", "mul", "div"):
             walk(node[1])
             walk(node[2])
-        elif op in ("neg",):
-            walk(node[1])
-        elif op == "pow":
+        elif op in ("neg", "pow"):
             walk(node[1])
         elif op == "call":
             walk(node[2])
@@ -165,20 +165,38 @@ def _algebra_and_field(spec, *exprs):
     return parse_salamon(spec, field=field, name="algebra"), field
 
 
-def _load_json_file(path, what):
+def _load_json_file(path, what, required=()):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {what} from {path}: {exc}") from None
+    for key in required:
+        if not isinstance(data, dict) or key not in data:
+            raise UsageError(f"{path}: {what} needs key {key!r}")
+    return data
+
+
+def _rationals(parse, value, where):
+    """`parse(value)`, with bad rationals reported as a usage error at `where`."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise UsageError(f"{where}: cannot read {value!r}: {exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_verify_table(args):
-    catalog = (load_catalog(open(args.catalog).read()) if args.catalog
-               else load_builtin())
+    if args.catalog:
+        try:
+            with open(args.catalog) as fh:
+                catalog = load_catalog(fh.read())
+        except OSError as exc:
+            raise UsageError(f"--catalog: cannot read {args.catalog}: {exc}") from None
+    else:
+        catalog = load_builtin()
     ids = [args.entry] if args.entry else None
     report = Report(command=["verify-table"] + (["--entry", args.entry] if args.entry else []))
     for check in verify_catalog(catalog, entry_ids=ids):
@@ -191,8 +209,6 @@ def cmd_solve(args):
     g, field = _algebra_and_field(args.algebra, args.theta,
                                   *(_j_exprs(args.J) if args.J else []))
     theta = parse_form(field, g.dim, args.theta, degree=1)
-    from .solver import lck_space, twisted_closed_space
-
     space = twisted_closed_space(g, theta)
     report.result("twisted_closed_space", str(space))
     if args.J:
@@ -210,19 +226,15 @@ def _j_exprs(jarg):
 
 
 def _resolve_j(jarg, g, field):
-    from .hermitian import ComplexStructure
-
     if "." in jarg and "/" not in jarg:
         entry_id, name = jarg.split(".", 1)
-        entry = load_builtin().get(entry_id)
-        rec = entry.j_record(name)
-        matrix = [[field.parse(rec.matrix[i * g.dim + j]) for j in range(g.dim)]
-                  for i in range(g.dim)]
-        return ComplexStructure(g, matrix, name=jarg)
-    data = _load_json_file(jarg, "complex structure")
-    matrix = [[field.parse(data["matrix"][i * g.dim + j]) for j in range(g.dim)]
+        entries, name = load_builtin().get(entry_id).j_record(name).matrix, jarg
+    else:
+        data = _load_json_file(jarg, "complex structure", ("matrix",))
+        entries, name = data["matrix"], data.get("name", "J")
+    matrix = [[field.parse(entries[i * g.dim + j]) for j in range(g.dim)]
               for i in range(g.dim)]
-    return ComplexStructure(g, matrix, name=data.get("name", "J"))
+    return ComplexStructure(g, matrix, name=name)
 
 
 def cmd_vaisman(args):
@@ -278,14 +290,11 @@ def cmd_mn(args):
     report = Report(command=["mn", args.algebra, args.theta])
     g, field = _algebra_and_field(args.algebra, args.theta)
     theta = parse_form(field, g.dim, args.theta, degree=1)
-    betti = morse_novikov_betti(g, theta, _fractions(json.loads(args.at))
-                                if args.at else {})
+    point = (_rationals(lambda t: _fractions(json.loads(t)), args.at, "--at")
+             if args.at else {})
+    betti = morse_novikov_betti(g, theta, point)
     report.result("morse_novikov_betti", "(" + ", ".join(map(str, betti)) + ")")
     return _emit(report, args)
-
-
-def _fractions(d):
-    return {k: Fraction(v) for k, v in d.items()}
 
 
 def _bind_structure(s, bind):
@@ -293,9 +302,6 @@ def _bind_structure(s, bind):
 
     Witness coordinates at the bound parameters are overridden so they
     stay consistent with the substitution."""
-    from .hermitian import ComplexStructure
-    from .lck import LcKStructure
-
     g = s.algebra
     algebra = type(g)(g.field, [f.subs(bind) for f in g.d_coframe], name=g.name)
     J = ComplexStructure(algebra, [[x.subs(bind) for x in row]
@@ -306,21 +312,26 @@ def _bind_structure(s, bind):
 
 
 def cmd_extend(args):
-    data = _load_json_file(args.spec, "extension spec")
-    catalog = load_builtin()
-    entry = catalog.get(data["entry"])
-    fam = next(f for f in entry.lck_families if f.name == data["family"])
+    data = _load_json_file(args.spec, "extension spec",
+                           ("entry", "family", "fiber_dim", "rho"))
+    entry = load_builtin().get(data["entry"])
+    fam = next((f for f in entry.lck_families if f.name == data["family"]), None)
+    if fam is None:
+        raise UsageError(f"{args.spec}: key 'family': entry {entry.id} has no "
+                         f"lcK family {data['family']!r}")
     extra = list(data.get("params", []))
     base = entry.family_structure(fam, extra_params=extra)
-    bind = _fractions(data.get("bind", {}))
+    bind = _rationals(_fractions, data.get("bind", {}), f"{args.spec}: key 'bind'")
     if bind:
         base = _bind_structure(base, bind)
     field = base.algebra.field
-    n2 = int(data["fiber_dim"])
+    n2 = _rationals(int, data["fiber_dim"], f"{args.spec}: key 'fiber_dim'")
     rho = [[[field.parse(x) for x in row] for row in m] for m in data["rho"]]
     spec = LcKExtensionSpec(
         base, n2, rho, name=data.get("name", ""),
-        extra_witnesses=[_fractions(w) for w in data.get("witnesses", [{}])])
+        extra_witnesses=_rationals(lambda ws: [_fractions(w) for w in ws],
+                                   data.get("witnesses", [{}]),
+                                   f"{args.spec}: key 'witnesses'"))
     g, out = lck_extension(spec)
     report = Report(command=["extend", args.spec])
     report.result("algebra", str(g))
@@ -335,7 +346,8 @@ def cmd_extend(args):
 
 
 def cmd_ot(args):
-    c = [Fraction(x) for x in args.c.split(",")] if args.c else []
+    c = (_rationals(lambda t: [Fraction(x) for x in t.split(",")], args.c, "--c")
+         if args.c else [])
     g, s = ot_algebra(args.n, c)
     report = Report(command=["ot", str(args.n), args.c])
     report.result("algebra", str(g))
@@ -347,7 +359,8 @@ def cmd_ot(args):
 
 
 def cmd_cokahler(args):
-    data = _load_json_file(args.spec, "coKaehler spec")
+    data = _load_json_file(args.spec, "coKaehler spec",
+                           ("salamon", "eta", "xi", "Phi", "metric", "D"))
     names = _collect_names(data["salamon"], data["eta"], data["xi"],
                            *(data["Phi"] + data["metric"] + data["D"]
                              + [data.get("alpha", "1")]))

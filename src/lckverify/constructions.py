@@ -379,37 +379,6 @@ def ot_algebra(n, c, field=None, check_output=True):
     return g, s
 
 
-def transport_lck(phi, source_g, target, name=""):
-    """Pull an lcK structure back along a primal basis change phi: target -> source.
-
-    `phi` is the matrix whose columns are the images in `source_g`
-    coordinates of the target basis vectors.  Brackets must be preserved;
-    returns the transported LcKStructure on the target algebra built from
-    the transported structure constants.
-    """
-    field = source_g.field
-    dim = source_g.dim
-    inv = linalg.inverse(phi)
-    brackets = {}
-    for i, j in basis_tuples(dim, 2):
-        vi = [phi[t][i - 1] for t in range(dim)]
-        vj = [phi[t][j - 1] for t in range(dim)]
-        brackets[(i, j)] = linalg.mat_vec(inv, source_g.bracket(vi, vj))
-    g = LieAlgebra.from_structure_constants(field, dim, brackets, name=name)
-
-    phi_t = linalg.transpose(phi)
-    from .hermitian import coframe_substitution
-
-    theta = coframe_substitution(phi_t, target.theta)
-    omega = coframe_substitution(phi_t, target.omega)
-    P_target = linalg.mat_neg(linalg.transpose(target.J.dual))
-    P_new = linalg.mat_mul(inv, linalg.mat_mul(P_target, phi))
-    J = ComplexStructure(g, linalg.mat_neg(linalg.transpose(P_new)),
-                         name=target.J.name)
-    return g, LcKStructure(g, J, theta, omega, constraints=list(target.constraints),
-                           witnesses=list(target.witnesses), name=name)
-
-
 # -- coKaehler mapping torus ----------------------------------------------------------
 
 
@@ -439,21 +408,6 @@ def _pullback_one_form(form, op):
         if not val.is_zero():
             coeffs[(j + 1,)] = val
     return KForm(field, dim, 1, coeffs)
-
-
-def _pullback_two_form(form, op):
-    """(op^* form)(x, y) = form(op x, op y)."""
-    field = form.field
-    dim = form.dim
-    out = KForm.zero(field, dim, 2)
-    for (i, j), c in form.coeffs.items():
-        for a in range(1, dim + 1):
-            for b in range(a + 1, dim + 1):
-                val = c * (op[i - 1][a - 1] * op[j - 1][b - 1]
-                           - op[i - 1][b - 1] * op[j - 1][a - 1])
-                if not val.is_zero():
-                    out = out + KForm(field, dim, 2, {(a, b): val})
-    return out
 
 
 def _derivative_two_form(form, op):

@@ -37,10 +37,6 @@ class IndexOutOfRange(LckError):
     pass
 
 
-class DuplicateParameter(LckError):
-    pass
-
-
 class ParametersNotInstantiated(LckError):
     pass
 

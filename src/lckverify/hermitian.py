@@ -80,15 +80,6 @@ def is_complex_structure(g, J):
     return True
 
 
-class Automorphism:
-    """Linear map given by its action on the coframe (columns = images)."""
-
-    def __init__(self, algebra, dual_matrix, name="A"):
-        self.algebra = algebra
-        self.dual = [list(row) for row in dual_matrix]
-        self.name = name
-
-
 def coframe_substitution(matrix, form):
     """Apply the coframe map e^i -> sum_j matrix[j][i] e^j multiplicatively.
 
@@ -110,17 +101,15 @@ def coframe_substitution(matrix, form):
     return out
 
 
-def pullback_form(A, form):
+def pullback_form(matrix, form):
     """Pullback of a form along an automorphism (dual-matrix action)."""
-    matrix = A.dual if isinstance(A, Automorphism) else A
     if linalg.det(matrix).is_zero():
         raise SingularMatrix("pullback along a singular matrix")
     return coframe_substitution(matrix, form)
 
 
-def is_automorphism(g, A):
+def is_automorphism(g, matrix):
     """Pullback commutes with the differential on the coframe."""
-    matrix = A.dual if isinstance(A, Automorphism) else A
     if linalg.det(matrix).is_zero():
         raise SingularMatrix("candidate automorphism is singular")
     for k in range(1, g.dim + 1):
@@ -132,9 +121,8 @@ def is_automorphism(g, A):
     return True
 
 
-def commutes_with(A, J):
+def commutes_with(matrix, J):
     """Complex-linearity in dual coordinates: C M = M C."""
-    matrix = A.dual if isinstance(A, Automorphism) else A
     return linalg.mat_eq(linalg.mat_mul(matrix, J.dual),
                          linalg.mat_mul(J.dual, matrix))
 

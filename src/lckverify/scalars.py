@@ -288,12 +288,12 @@ def poly_gcd(p, q):
 def _content_in(p, i):
     """Gcd of the variable-i coefficients of p (a polynomial in fewer vars)."""
     coeffs = [c for c in _coeffs_in(p, i) if not c.is_zero()]
-    g = Polynomial(p.field, {})
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.is_constant() and not g.is_zero():
+    g = coeffs[0].primitive()
+    for c in coeffs[1:]:
+        if g.is_constant():
             break
-    return g if not g.is_zero() else Polynomial.constant(p.field, 1)
+        g = poly_gcd(g, c)
+    return g
 
 
 def _primitive_in(p, i):
@@ -744,13 +744,3 @@ def _eval_node(node, assignment):
             raise ParseError(f"unknown function {node[1]!r}")
         return sqrt_fraction(_eval_node(node[2], assignment))
     raise ParseError(f"bad expression node {op!r}")
-
-
-def scalar_eval(s, assignment):
-    """Module-level alias for Scalar.eval."""
-    return s.eval(assignment)
-
-
-def scalar_is_zero(s):
-    """Exact zero test: true iff the numerator is the zero polynomial."""
-    return s.is_zero()

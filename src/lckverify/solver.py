@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from . import linalg
 from .errors import IndexOutOfRange, ThetaNotClosed
 from .exterior import KForm, basis_tuples
-from .hermitian import dual_to_primal
+from .hermitian import coframe_substitution, dual_to_primal, is_j_invariant
 from .scalars import Scalar
 
 
@@ -58,43 +58,42 @@ def _condition_rows(g, columns, operator, target_degree):
     return [[img.coeffs.get(t, g.field.zero()) for img in images] for t in target]
 
 
+def _condition_matrix(g, theta, J=None):
+    """Columns and rows of the conditions on Omega in Lambda^2: the rows of
+    d(Omega) - theta ^ Omega, then those of P^T Omega - Omega if J is given."""
+    columns = basis_tuples(g.dim, 2)
+    rows = _condition_rows(g, columns,
+                           lambda b: g.ce_d(b) - theta.wedge(b), 3)
+    if J is not None:
+        Pt = linalg.transpose(dual_to_primal(J))
+        rows += _condition_rows(g, columns,
+                                lambda b: coframe_substitution(Pt, b) - b, 2)
+    return columns, rows
+
+
+def _solution_space(g, theta, J=None):
+    if not g.ce_d(theta).is_zero():
+        raise ThetaNotClosed(str(theta))
+    columns, rows = _condition_matrix(g, theta, J)
+    vectors, side = linalg.nullspace(rows, len(columns))
+    basis = [KForm(g.field, g.dim, 2,
+                   {idx: v[m] for m, idx in enumerate(columns) if not v[m].is_zero()})
+             for v in vectors]
+    return SolutionSpace(columns, basis, _dedupe_side_conditions(side))
+
+
 def twisted_closed_space(g, theta):
     """{Omega in Lambda^2 : d(Omega) = theta ^ Omega}.
 
     Nondegeneracy Omega ^ Omega != 0 is not imposed; it is a separate
     predicate on elements of the space.
     """
-    if not g.ce_d(theta).is_zero():
-        raise ThetaNotClosed(str(theta))
-    columns = basis_tuples(g.dim, 2)
-    rows = _condition_rows(g, columns,
-                           lambda b: g.ce_d(b) - theta.wedge(b), 3)
-    vectors, side = linalg.nullspace(rows, len(columns))
-    basis = [KForm(g.field, g.dim, 2,
-                   {idx: v[m] for m, idx in enumerate(columns) if not v[m].is_zero()})
-             for v in vectors]
-    return SolutionSpace(columns, basis, _dedupe_side_conditions(side))
+    return _solution_space(g, theta)
 
 
 def lck_space(g, J, theta):
     """Twisted-closed 2-forms that are additionally J-invariant."""
-    if not g.ce_d(theta).is_zero():
-        raise ThetaNotClosed(str(theta))
-    columns = basis_tuples(g.dim, 2)
-    P = dual_to_primal(J)
-    Pt = linalg.transpose(P)
-
-    from .hermitian import coframe_substitution
-
-    rows = _condition_rows(g, columns,
-                           lambda b: g.ce_d(b) - theta.wedge(b), 3)
-    rows += _condition_rows(g, columns,
-                            lambda b: coframe_substitution(Pt, b) - b, 2)
-    vectors, side = linalg.nullspace(rows, len(columns))
-    basis = [KForm(g.field, g.dim, 2,
-                   {idx: v[m] for m, idx in enumerate(columns) if not v[m].is_zero()})
-             for v in vectors]
-    return SolutionSpace(columns, basis, _dedupe_side_conditions(side))
+    return _solution_space(g, theta, J)
 
 
 def _diagonal_functional(space, J, v):
@@ -148,8 +147,6 @@ def positivity_clash(space, J, u, v):
 def satisfies_conditions(space, g, theta, J=None):
     """Re-check every basis element against the defining conditions,
     independently of the elimination that produced the space."""
-    from .hermitian import is_j_invariant
-
     for b in space.basis:
         if not (g.ce_d(b) - theta.wedge(b)).is_zero():
             return False
@@ -164,17 +161,7 @@ def rank_at_instantiation(g, theta, assignment, J=None):
     Together with the returned dimension this gives the completeness
     check: rank + dim = ambient dimension away from side conditions.
     """
-    from .hermitian import coframe_substitution
-    from .scalars import QQ
-
-    gq = g.instantiate(assignment)
-    theta_q = theta.instantiate(assignment)
-    columns = basis_tuples(gq.dim, 2)
-    rows = _condition_rows(gq, columns,
-                           lambda b: gq.ce_d(b) - theta_q.wedge(b), 3)
-    if J is not None:
-        Jq = J.instantiate(assignment)
-        Pt = linalg.transpose(dual_to_primal(Jq))
-        rows += _condition_rows(gq, columns,
-                                lambda b: coframe_substitution(Pt, b) - b, 2)
+    Jq = J.instantiate(assignment) if J is not None else None
+    columns, rows = _condition_matrix(g.instantiate(assignment),
+                                      theta.instantiate(assignment), Jq)
     return linalg.rank(rows, len(columns))

@@ -26,6 +26,33 @@ def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 2
 
 
+def _spec(tmp_path, **changes):
+    data = json.loads((SPECS / "ot_extension.json").read_text())
+    data.update(changes)
+    data = {k: v for k, v in data.items() if v is not None}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, location", [
+    (lambda tmp: ["extend", "--spec", _spec(tmp, entry=None)], "'entry'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, family="nope")], "'family'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, fiber_dim="x")], "'fiber_dim'"),
+    (lambda tmp: ["verify-table", "--catalog", str(tmp / "missing.json")],
+     "--catalog"),
+    (lambda tmp: ["mn", "--algebra", "0,0,0,0", "--theta", "0", "--at", "{bad"],
+     "--at"),
+    (lambda tmp: ["ot", "--n", "1", "--c", "1,x"], "--c"),
+], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
+        "missing-catalog", "mn-bad-at", "ot-bad-c"])
+def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
+    assert run(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert location in err
+    assert "Traceback" not in err
+
+
 def test_vaisman_output(capsys):
     assert run(["vaisman", "--entry", "rh3"]) == 0
     out = capsys.readouterr().out
