@@ -177,12 +177,28 @@ def _load_json_file(path, what, required=()):
     return data
 
 
-def _rationals(parse, value, where):
-    """`parse(value)`, with bad rationals reported as a usage error at `where`."""
+def _read(parse, value, where):
+    """`parse(value)`, with a bad value reported as a usage error at `where`."""
     try:
         return parse(value)
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (LckError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise UsageError(f"{where}: cannot read {value!r}: {exc}") from None
+
+
+def _square(field, rows, size, where):
+    """A size x size matrix of Scalars from a JSON list of rows of expressions."""
+    if not (isinstance(rows, list) and len(rows) == size
+            and all(isinstance(row, list) and len(row) == size for row in rows)):
+        raise UsageError(f"{where}: expected a {size} x {size} matrix")
+    return [[_read(field.parse, x, where) for x in row] for row in rows]
+
+
+def _flat_square(field, entries, size, where):
+    """The same from a flat list of size^2 expressions, row by row."""
+    if not (isinstance(entries, list) and len(entries) == size * size):
+        raise UsageError(f"{where}: expected a list of {size * size} entries")
+    return _square(field, [entries[i * size:(i + 1) * size] for i in range(size)],
+                   size, where)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -232,8 +248,7 @@ def _resolve_j(jarg, g, field):
     else:
         data = _load_json_file(jarg, "complex structure", ("matrix",))
         entries, name = data["matrix"], data.get("name", "J")
-    matrix = [[field.parse(entries[i * g.dim + j]) for j in range(g.dim)]
-              for i in range(g.dim)]
+    matrix = _flat_square(field, entries, g.dim, f"--J {jarg}: key 'matrix'")
     return ComplexStructure(g, matrix, name=name)
 
 
@@ -290,7 +305,7 @@ def cmd_mn(args):
     report = Report(command=["mn", args.algebra, args.theta])
     g, field = _algebra_and_field(args.algebra, args.theta)
     theta = parse_form(field, g.dim, args.theta, degree=1)
-    point = (_rationals(lambda t: _fractions(json.loads(t)), args.at, "--at")
+    point = (_read(lambda t: _fractions(json.loads(t)), args.at, "--at")
              if args.at else {})
     betti = morse_novikov_betti(g, theta, point)
     report.result("morse_novikov_betti", "(" + ", ".join(map(str, betti)) + ")")
@@ -321,17 +336,21 @@ def cmd_extend(args):
                          f"lcK family {data['family']!r}")
     extra = list(data.get("params", []))
     base = entry.family_structure(fam, extra_params=extra)
-    bind = _rationals(_fractions, data.get("bind", {}), f"{args.spec}: key 'bind'")
+    bind = _read(_fractions, data.get("bind", {}), f"{args.spec}: key 'bind'")
     if bind:
         base = _bind_structure(base, bind)
     field = base.algebra.field
-    n2 = _rationals(int, data["fiber_dim"], f"{args.spec}: key 'fiber_dim'")
-    rho = [[[field.parse(x) for x in row] for row in m] for m in data["rho"]]
+    n2 = _read(int, data["fiber_dim"], f"{args.spec}: key 'fiber_dim'")
+    where = f"{args.spec}: key 'rho'"
+    dim = base.algebra.dim
+    if not isinstance(data["rho"], list) or len(data["rho"]) != dim:
+        raise UsageError(f"{where}: expected {dim} matrices, one per base basis vector")
+    rho = [_square(field, m, n2, f"{where}, matrix {k}") for k, m in enumerate(data["rho"])]
     spec = LcKExtensionSpec(
         base, n2, rho, name=data.get("name", ""),
-        extra_witnesses=_rationals(lambda ws: [_fractions(w) for w in ws],
-                                   data.get("witnesses", [{}]),
-                                   f"{args.spec}: key 'witnesses'"))
+        extra_witnesses=_read(lambda ws: [_fractions(w) for w in ws],
+                              data.get("witnesses", [{}]),
+                              f"{args.spec}: key 'witnesses'"))
     g, out = lck_extension(spec)
     report = Report(command=["extend", args.spec])
     report.result("algebra", str(g))
@@ -346,7 +365,7 @@ def cmd_extend(args):
 
 
 def cmd_ot(args):
-    c = (_rationals(lambda t: [Fraction(x) for x in t.split(",")], args.c, "--c")
+    c = (_read(lambda t: [Fraction(x) for x in t.split(",")], args.c, "--c")
          if args.c else [])
     g, s = ot_algebra(args.n, c)
     report = Report(command=["ot", str(args.n), args.c])
@@ -361,22 +380,26 @@ def cmd_ot(args):
 def cmd_cokahler(args):
     data = _load_json_file(args.spec, "coKaehler spec",
                            ("salamon", "eta", "xi", "Phi", "metric", "D"))
-    names = _collect_names(data["salamon"], data["eta"], data["xi"],
-                           *(data["Phi"] + data["metric"] + data["D"]
-                             + [data.get("alpha", "1")]))
+    data.setdefault("alpha", "1")
+
+    def where(key):
+        return f"{args.spec}: key {key!r}"
+
+    matrices = ("Phi", "metric", "D")
+    names = []
+    for key in ("salamon", "eta", "xi") + matrices + ("alpha",):
+        found = _read(lambda v: _collect_names(*(v if key in matrices else [v])),
+                      data[key], where(key))
+        names += [name for name in found if name not in names]
     field = ScalarField(tuple(names))
     h = parse_salamon(data["salamon"], field=field, name=data.get("name", "h"))
     dim = h.dim
-    eta = parse_form(field, dim, data["eta"], degree=1)
-    xi_form = parse_form(field, dim, data["xi"], degree=1)
+    eta, xi_form = (_read(lambda t: parse_form(field, dim, t, degree=1), data[key], where(key))
+                    for key in ("eta", "xi"))
     xi = [xi_form.coeffs.get((i,), field.zero()) for i in range(1, dim + 1)]
-
-    def matrix(key):
-        return [[field.parse(data[key][i * dim + j]) for j in range(dim)]
-                for i in range(dim)]
-
-    cdata = CoKaehlerData(h, eta, xi, matrix("Phi"), matrix("metric"),
-                          matrix("D"), field.parse(data.get("alpha", "1")),
+    Phi, metric, D = (_flat_square(field, data[key], dim, where(key)) for key in matrices)
+    cdata = CoKaehlerData(h, eta, xi, Phi, metric, D,
+                          _read(field.parse, data["alpha"], where("alpha")),
                           name=data.get("name", ""))
     g, s = cokahler_mapping_torus(cdata)
     report = Report(command=["cokahler", args.spec])

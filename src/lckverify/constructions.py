@@ -1,7 +1,8 @@
 """Builders for higher-dimensional lcK algebras.
 
 Three constructions are provided, each of which re-verifies its own
-output instead of trusting the recipe:
+output instead of trusting the recipe and raises LckError (also under
+`python -O`) when a check fails:
 
   * `lck_extension`: h |x V for a representation pi = -(1/2) theta Id + rho
     with rho valued in skew matrices commuting with the fiber rotation.
@@ -28,6 +29,7 @@ from . import linalg
 from .errors import (
     AlphaZero,
     DNotCompatible,
+    LckError,
     NotADerivation,
     NotARepresentation,
     NotCoKaehler,
@@ -35,23 +37,42 @@ from .errors import (
     RhoNotSkew,
 )
 from .exterior import KForm, basis_tuples
-from .hermitian import ComplexStructure, is_complex_structure
+from .hermitian import ComplexStructure, is_complex_structure, minus_transpose, nijenhuis
 from .lck import LcKStructure, verify_lck
 from .liealg import LieAlgebra
-from .scalars import Scalar
+from .scalars import QQ, Scalar
 
 
-def _as_matrix(field, m, n):
-    return [[x if isinstance(x, Scalar) else field.scalar(x) for x in row]
-            for row in m][:n]
+def _jacobi_checked(g):
+    if not g.jacobi_holds():
+        raise LckError(f"{g.name} fails the Jacobi identity")
+    return g
+
+
+def _checked(g, s, what):
+    """(g, s), once J is integrable and s passes every lcK check."""
+    if not is_complex_structure(g, s.J):
+        raise LckError(f"{what}: J fails integrability")
+    report = verify_lck(s)
+    if not report.passed:
+        raise LckError(f"{what} fails lcK checks: {report.failures()}")
+    return g, s
+
+
+def _combination(field, coeffs, matrices, size):
+    """sum_k coeffs[k] * matrices[k], a size x size matrix."""
+    out = [[field.zero()] * size for _ in range(size)]
+    for c, m in zip(coeffs, matrices):
+        if not c.is_zero():
+            out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
+    return out
 
 
 def _is_derivation(g, D):
     """D[x,y] = [Dx,y] + [x,Dy] on basis pairs."""
-    field = g.field
+    e = linalg.identity(g.field, g.dim)
     for i, j in basis_tuples(g.dim, 2):
-        ei = [field.one() if t == i - 1 else field.zero() for t in range(g.dim)]
-        ej = [field.one() if t == j - 1 else field.zero() for t in range(g.dim)]
+        ei, ej = e[i - 1], e[j - 1]
         lhs = linalg.mat_vec(D, g.bracket(ei, ej))
         rhs = [a + b for a, b in zip(g.bracket(linalg.mat_vec(D, ei), ej),
                                      g.bracket(ei, linalg.mat_vec(D, ej)))]
@@ -60,85 +81,52 @@ def _is_derivation(g, D):
     return True
 
 
-def semidirect_extension(base, action):
-    """Structure equations of base |x V or base x|_D R.
+def extension_by_derivation(base, D):
+    """base x|_D R: the new generator e_{n+1} acts by [e_{n+1}, x] = Dx.
 
-    `action` is either a single dim x dim matrix D (a derivation; the new
-    generator e_{n+1} acts by [e_{n+1}, x] = Dx) or a list of fiber
-    matrices, one per base basis vector, defining a representation on an
-    abelian fiber V.
+    Raises NotADerivation unless the matrix D is a derivation of the base.
+    """
+    if not _is_derivation(base, D):
+        raise NotADerivation("matrix is not a derivation of the base")
+    field = base.field
+    n = base.dim
+    brackets = {key: list(vec) + [field.zero()]
+                for key, vec in base.bracket_table().items()}
+    for j in range(1, n + 1):
+        # [e_{n+1}, e_j] = D e_j, stored as [e_j, e_{n+1}] = -D e_j
+        brackets[(j, n + 1)] = [-D[t][j - 1] for t in range(n)] + [field.zero()]
+    return _jacobi_checked(LieAlgebra.from_structure_constants(
+        field, n + 1, brackets, name=f"{base.name}:xR"))
+
+
+def extension_by_representation(base, pi):
+    """base |x V on an abelian fiber V, where e_i acts on V by pi[i - 1].
+
+    Raises NotARepresentation unless there is one fiber matrix per base
+    basis vector and pi([x, y]) = [pi(x), pi(y)].
     """
     field = base.field
     n = base.dim
-    if action and isinstance(action[0], (list, tuple)) and (
-            len(action) == n and all(len(r) == n for r in action)) and not (
-            isinstance(action[0][0], (list, tuple))):
-        D = _as_matrix(field, action, n)
-        if not _is_derivation(base, D):
-            raise NotADerivation("matrix is not a derivation of the base")
-        return _extension_by_derivation(base, D)
-    return _extension_by_representation(base, action)
-
-
-def _extension_by_derivation(base, D):
-    field = base.field
-    n = base.dim
-    dim = n + 1
-    brackets = {}
-    table = base.bracket_table()
-    for (i, j), vec in table.items():
-        brackets[(i, j)] = list(vec) + [field.zero()]
-    for j in range(1, n + 1):
-        # [e_{n+1}, e_j] = D e_j, stored as [e_j, e_{n+1}] = -D e_j
-        col = [-D[t][j - 1] for t in range(n)] + [field.zero()]
-        brackets[(j, dim)] = col
-    out = LieAlgebra.from_structure_constants(field, dim, brackets,
-                                              name=f"{base.name}:xR")
-    assert out.jacobi_holds()
-    return out
-
-
-def _extension_by_representation(base, matrices):
-    field = base.field
-    n = base.dim
-    fiber = len(matrices[0])
-    pi = [_as_matrix(field, m, fiber) for m in matrices]
     if len(pi) != n:
         raise NotARepresentation("need one fiber matrix per base basis vector")
-
-    def pi_of(x):
-        out = [[field.zero()] * fiber for _ in range(fiber)]
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for a in range(fiber):
-                for b in range(fiber):
-                    out[a][b] = out[a][b] + x[i] * pi[i][a][b]
-        return out
-
-    table = base.bracket_table()
+    fiber = len(pi[0])
+    e = linalg.identity(field, n)
     for i, j in basis_tuples(n, 2):
-        ei = [field.one() if t == i - 1 else field.zero() for t in range(n)]
-        ej = [field.one() if t == j - 1 else field.zero() for t in range(n)]
-        lhs = pi_of(base.bracket(ei, ej))
+        lhs = _combination(field, base.bracket(e[i - 1], e[j - 1]), pi, fiber)
         comm = linalg.mat_sub(linalg.mat_mul(pi[i - 1], pi[j - 1]),
                               linalg.mat_mul(pi[j - 1], pi[i - 1]))
         if not linalg.mat_eq(lhs, comm):
             raise NotARepresentation(f"pi([e_{i},e_{j}]) != [pi(e_{i}),pi(e_{j})]")
 
-    dim = n + fiber
-    brackets = {}
-    for (i, j), vec in table.items():
-        brackets[(i, j)] = list(vec) + [field.zero()] * fiber
+    brackets = {key: list(vec) + [field.zero()] * fiber
+                for key, vec in base.bracket_table().items()}
     for i in range(1, n + 1):
         for b in range(fiber):
             # [e_i, v_b] = pi(e_i) v_b
-            col = [field.zero()] * n + [pi[i - 1][a][b] for a in range(fiber)]
-            brackets[(i, n + b + 1)] = col
-    out = LieAlgebra.from_structure_constants(field, dim, brackets,
-                                              name=f"{base.name}:xV{fiber}")
-    assert out.jacobi_holds()
-    return out
+            brackets[(i, n + b + 1)] = ([field.zero()] * n
+                                        + [pi[i - 1][a][b] for a in range(fiber)])
+    return _jacobi_checked(LieAlgebra.from_structure_constants(
+        field, n + fiber, brackets, name=f"{base.name}:xV{fiber}"))
 
 
 @dataclass
@@ -162,65 +150,54 @@ def _fiber_rotation(field, fiber_dim):
 
 
 def _check_extension_spec(spec):
-    base = spec.base
-    field = base.algebra.field
+    g = spec.base.algebra
+    field = g.field
     n2 = spec.fiber_dim
     if n2 % 2 or n2 <= 0:
         raise NotARepresentation(f"fiber dimension {n2} must be even and positive")
-    rho = [_as_matrix(field, m, n2) for m in spec.rho]
-    if len(rho) != base.algebra.dim:
+    if len(spec.rho) != g.dim:
         raise NotARepresentation("need one rho matrix per base basis vector")
     J0 = _fiber_rotation(field, n2)
-    for k, m in enumerate(rho):
+    for k, m in enumerate(spec.rho):
         if not linalg.mat_eq(linalg.transpose(m), linalg.mat_neg(m)):
             raise RhoNotSkew(f"rho(e_{k + 1}) is not skew-symmetric")
         if not linalg.mat_eq(linalg.mat_mul(m, J0), linalg.mat_mul(J0, m)):
             raise RhoNotCommuting(f"rho(e_{k + 1}) does not commute with the fiber rotation")
     # rho must kill the commutator ideal (it takes values in an abelian
     # subalgebra); checked directly on brackets of basis vectors
-    g = base.algebra
+    e = linalg.identity(field, g.dim)
     for i, j in basis_tuples(g.dim, 2):
-        ei = [field.one() if t == i - 1 else field.zero() for t in range(g.dim)]
-        ej = [field.one() if t == j - 1 else field.zero() for t in range(g.dim)]
-        comm = g.bracket(ei, ej)
-        image = [[field.zero()] * n2 for _ in range(n2)]
-        for t in range(g.dim):
-            if not comm[t].is_zero():
-                for a in range(n2):
-                    for b in range(n2):
-                        image[a][b] = image[a][b] + comm[t] * rho[t][a][b]
+        image = _combination(field, g.bracket(e[i - 1], e[j - 1]), spec.rho, n2)
         if not linalg.is_zero_matrix(image):
             raise NotARepresentation("rho does not vanish on the commutator ideal")
-    return rho, J0
 
 
 def extension_pi(spec):
     """pi(e_k) = -(1/2) theta(e_k) Id + rho(e_k) as fiber matrices."""
-    base = spec.base
-    field = base.algebra.field
-    rho, _ = _check_extension_spec(spec)
+    _check_extension_spec(spec)
+    field = spec.base.algebra.field
+    n2 = spec.fiber_dim
     half = field.scalar(Fraction(1, 2))
     matrices = []
-    for k in range(base.algebra.dim):
-        tk = base.theta.coeffs.get((k + 1,), field.zero())
-        m = [[rho[k][a][b] - (half * tk if a == b else field.zero())
-              for b in range(spec.fiber_dim)] for a in range(spec.fiber_dim)]
-        matrices.append(m)
+    for k, rho_k in enumerate(spec.rho):
+        tk = spec.base.theta.coeffs.get((k + 1,), field.zero())
+        matrices.append([[rho_k[a][b] - (half * tk if a == b else field.zero())
+                          for b in range(n2)] for a in range(n2)])
     return matrices
 
 
-def lck_extension(spec, check_output=True):
+def lck_extension(spec):
     """The extended algebra with theta'|_V = 0 and Omega' = Omega + sum u^i^v^i.
 
     Raises if rho fails skewness, commutation, or the representation law;
-    asserts (never assumes) that the output itself verifies as lcK.
+    checks (never assumes) that the output itself verifies as lcK, and
+    raises LckError when it does not.
     """
     base = spec.base
     field = base.algebra.field
     n = base.algebra.dim
     n2 = spec.fiber_dim
-    matrices = extension_pi(spec)
-    g = _extension_by_representation(base.algebra, matrices)
+    g = extension_by_representation(base.algebra, extension_pi(spec))
     dim = n + n2
 
     def embed(form):
@@ -232,51 +209,36 @@ def lck_extension(spec, check_output=True):
         omega = omega + KForm.basis(field, dim, (n + i + 1, n + i + 2))
 
     # block-diagonal complex structure in the dual convention
-    base_dual = base.J.dual
-    dual = [[field.zero()] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            dual[i][j] = base_dual[i][j]
-    J0 = _fiber_rotation(field, n2)
-    J0_dual = linalg.mat_neg(linalg.transpose(J0))
-    for i in range(n2):
-        for j in range(n2):
-            dual[n + i][n + j] = J0_dual[i][j]
+    J0_dual = minus_transpose(_fiber_rotation(field, n2))
+    dual = ([list(row) + [field.zero()] * n2 for row in base.J.dual]
+            + [[field.zero()] * n + row for row in J0_dual])
     J = ComplexStructure(g, dual, name=f"{base.J.name}+J0")
 
     witnesses = [dict(w, **extra) for w in base.witnesses
                  for extra in (spec.extra_witnesses or [{}])]
     out = LcKStructure(g, J, theta, omega, constraints=list(base.constraints),
                        witnesses=witnesses, name=spec.name or f"ext({base.name})")
-    if check_output:
-        assert is_complex_structure(g, J), "extension J fails integrability"
-        report = verify_lck(out)
-        assert report.passed, f"extension fails lcK checks: {report.failures()}"
-    return g, out
+    return _checked(g, out, "extension")
 
 
 def unimodularity_check(spec):
     """True iff tr(ad_X) = n theta(X) identically on the base.
 
     Cross-checked against the vanishing of the unimodular character of
-    the constructed extension; the two must agree.
+    the extended algebra; raises LckError if the two disagree.
     """
     base = spec.base
     field = base.algebra.field
-    n = spec.fiber_dim // 2
-    direct = True
-    for k in range(base.algebra.dim):
-        ek = [field.one() if t == k else field.zero() for t in range(base.algebra.dim)]
-        tk = base.theta.coeffs.get((k + 1,), field.zero())
-        if not (base.algebra.unimodular_character(ek) - field.scalar(n) * tk).is_zero():
-            direct = False
-            break
-    g, _ = lck_extension(spec, check_output=False)
-    on_output = all(
-        g.unimodular_character([field.one() if t == k else field.zero()
-                                for t in range(g.dim)]).is_zero()
-        for k in range(g.dim))
-    assert direct == on_output, "unimodularity criteria disagree"
+    n = field.scalar(spec.fiber_dim // 2)
+    direct = all(
+        (base.algebra.unimodular_character(ek)
+         - n * base.theta.coeffs.get((k + 1,), field.zero())).is_zero()
+        for k, ek in enumerate(linalg.identity(field, base.algebra.dim)))
+    g = extension_by_representation(base.algebra, extension_pi(spec))
+    on_output = all(g.unimodular_character(ek).is_zero()
+                    for ek in linalg.identity(field, g.dim))
+    if direct != on_output:
+        raise LckError("unimodularity criteria disagree")
     return direct
 
 
@@ -309,22 +271,18 @@ def aff_block_lck(field, n):
             else:
                 coeffs[(b, a)] = coeffs.get((b, a), field.zero()) - c
     omega = KForm(field, dim, 2, coeffs)
-    dual = [[field.zero()] * dim for _ in range(dim)]
-    rot = _fiber_rotation(field, dim)  # J e_i = f_i pairing
-    dual_rot = linalg.mat_neg(linalg.transpose(rot))
-    for i in range(dim):
-        for j in range(dim):
-            dual[i][j] = dual_rot[i][j]
-    J = ComplexStructure(g, dual, name="J")
+    # the J e_i = f_i pairing
+    J = ComplexStructure(g, minus_transpose(_fiber_rotation(field, dim)), name="J")
     return LcKStructure(g, J, theta, omega, constraints=[], witnesses=[{}],
                         name=f"aff^{n}")
 
 
-def ot_algebra(n, c, field=None, check_output=True):
+def ot_algebra(n, c, field=None):
     """The (2n+2)-dimensional algebra in the basis (x_1..x_n, y_1..y_n, z_1, z_2)
-    with its lcK structure; unimodular for every choice of the rationals c."""
-    from .scalars import QQ
+    with its lcK structure; unimodular for every choice of the rationals c.
 
+    Jacobi, integrability, the lcK checks and unimodularity are checked on
+    the output; LckError is raised if one fails."""
     field = field or QQ
     if len(c) != n:
         raise NotARepresentation(f"need {n} rotation speeds, got {len(c)}")
@@ -346,7 +304,8 @@ def ot_algebra(n, c, field=None, check_output=True):
         col2[z1 - 1] = -c[i]
         col2[z2 - 1] = -half
         brackets[(xi, z2)] = col2  # [x_i, z_2] = -c_i z_1 - z_2/2
-    g = LieAlgebra.from_structure_constants(field, dim, brackets, name=f"ot({n})")
+    g = _jacobi_checked(
+        LieAlgebra.from_structure_constants(field, dim, brackets, name=f"ot({n})"))
 
     theta = KForm(field, dim, 1, {(i + 1,): field.one() for i in range(n)})
     coeffs = {(2 * n + 1, 2 * n + 2): field.one()}
@@ -362,20 +321,14 @@ def ot_algebra(n, c, field=None, check_output=True):
         P[i][n + i] = -field.one()
     P[2 * n + 1][2 * n] = field.one()
     P[2 * n][2 * n + 1] = -field.one()
-    J = ComplexStructure(g, linalg.mat_neg(linalg.transpose(P)), name="J")
+    J = ComplexStructure(g, minus_transpose(P), name="J")
 
     s = LcKStructure(g, J, theta, omega, constraints=[], witnesses=[{}],
                      name=f"ot({n})")
-    if check_output:
-        assert g.jacobi_holds()
-        assert is_complex_structure(g, J)
-        report = verify_lck(s)
-        assert report.passed, f"ot({n}) fails lcK checks: {report.failures()}"
-        zero = [field.zero()] * dim
-        for k in range(dim):
-            ek = list(zero)
-            ek[k] = field.one()
-            assert g.unimodular_character(ek).is_zero(), "ot algebra must be unimodular"
+    _checked(g, s, f"ot({n})")
+    if not all(g.unimodular_character(ek).is_zero()
+               for ek in linalg.identity(field, dim)):
+        raise LckError(f"ot({n}) is not unimodular")
     return g, s
 
 
@@ -415,10 +368,10 @@ def _derivative_two_form(form, op):
     field = form.field
     dim = form.dim
     out = KForm.zero(field, dim, 2)
+    e = linalg.identity(field, dim)
     for a in range(1, dim + 1):
         for b in range(a + 1, dim + 1):
-            ea = [field.one() if t == a - 1 else field.zero() for t in range(dim)]
-            eb = [field.one() if t == b - 1 else field.zero() for t in range(dim)]
+            ea, eb = e[a - 1], e[b - 1]
             val = form(linalg.mat_vec(op, ea), eb) + form(ea, linalg.mat_vec(op, eb))
             if not val.is_zero():
                 out = out + KForm(field, dim, 2, {(a, b): val})
@@ -480,36 +433,28 @@ def _check_cokahler(data):
     # normality: Nij_Phi + 2 d(eta) (x) xi = 0
     d_eta = h.ce_d(data.eta)
     for i, j in basis_tuples(dim, 2):
-        ei = [field.one() if t == i - 1 else field.zero() for t in range(dim)]
-        ej = [field.one() if t == j - 1 else field.zero() for t in range(dim)]
-        pi_ = linalg.mat_vec(data.Phi, ei)
-        pj = linalg.mat_vec(data.Phi, ej)
-        nij = [-a + b - c - d for a, b, c, d in zip(
-            h.bracket(ei, ej), h.bracket(pi_, pj),
-            linalg.mat_vec(data.Phi, h.bracket(pi_, ej)),
-            linalg.mat_vec(data.Phi, h.bracket(ei, pj)))]
-        corr = d_eta.coeffs.get((i, j), field.zero())
-        vec = [n + 2 * corr * x for n, x in zip(nij, data.xi)]
+        corr = 2 * d_eta.coeffs.get((i, j), field.zero())
+        vec = [v + corr * x for v, x in zip(nijenhuis(h, data.Phi, i, j), data.xi)]
         if any(not v.is_zero() for v in vec):
             raise NotCoKaehler("cK5", f"normality fails on (e_{i}, e_{j})")
     return omega
 
 
-def cokahler_mapping_torus(data, check_output=True):
+def cokahler_mapping_torus(data):
     """h x|_D R with theta = -alpha e^{2n}, Omega = omega + theta ^ eta,
     J(X, a) = (Phi X - a xi, eta(X)).
 
-    All five coKaehler axioms and the D-compatibility hypotheses are
-    checked with named errors before anything is built; integrability and
-    the lcK identities of the output are then verified, not assumed.
+    All five coKaehler axioms, the derivation law and the D-compatibility
+    hypotheses are checked with named errors, in that order, before the
+    structure is built; integrability and the lcK identities of the output
+    are then verified, not assumed, and LckError is raised if one fails.
     """
     field = data.h.field
     alpha = data.alpha if isinstance(data.alpha, Scalar) else field.scalar(Fraction(data.alpha))
     if alpha.is_zero():
         raise AlphaZero("the derivation must rescale the cosymplectic form")
     omega = _check_cokahler(data)
-    if not _is_derivation(data.h, data.D):
-        raise NotADerivation("D is not a derivation of the base")
+    g = extension_by_derivation(data.h, data.D)
     if _derivative_two_form(omega, data.D) != omega * alpha:
         raise DNotCompatible("D omega != alpha omega")
     if not _pullback_one_form(data.eta, data.D).is_zero():
@@ -520,7 +465,6 @@ def cokahler_mapping_torus(data, check_output=True):
                          linalg.mat_mul(data.Phi, data.D)):
         raise DNotCompatible("D Phi != Phi D")
 
-    g = _extension_by_derivation(data.h, data.D)
     dim = g.dim
     new = dim  # index of the new generator
 
@@ -540,12 +484,8 @@ def cokahler_mapping_torus(data, check_output=True):
             P[i][j] = data.Phi[i][j]
         P[new - 1][i] = eta_coords[i]
         P[i][new - 1] = -data.xi[i]
-    J = ComplexStructure(g, linalg.mat_neg(linalg.transpose(P)), name="J")
+    J = ComplexStructure(g, minus_transpose(P), name="J")
 
     out = LcKStructure(g, J, theta, Omega, constraints=[], witnesses=[{}],
                        name=data.name or f"torus({data.h.name})")
-    if check_output:
-        assert is_complex_structure(g, J), "mapping-torus J fails integrability"
-        report = verify_lck(out)
-        assert report.passed, f"mapping torus fails lcK checks: {report.failures()}"
-    return g, out
+    return _checked(g, out, "mapping torus")

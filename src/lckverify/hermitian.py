@@ -3,9 +3,10 @@
 Complex structures are stored exactly as printed in catalog sources: as
 matrices acting on the coframe, with columns the images of e^1..e^n
 (the dual convention J(alpha) = alpha(J^{-1} .)).  The operator on
-vectors is always derived via P = -M^T, never transcribed, so there is
-a single place where the convention can go wrong; the self-tests pin it
-against the rh3 data where both sides are known.
+vectors is always derived via P = -M^T, never transcribed, and the map
+is written once, in `minus_transpose`, so there is a single place where
+the convention can go wrong; the self-tests pin it against the rh3 data
+where both sides are known.
 """
 
 from __future__ import annotations
@@ -48,11 +49,17 @@ def squares_to_minus_id(matrix):
     return True
 
 
+def minus_transpose(matrix):
+    """-M^T: the operator P on vectors of a coframe matrix M (uses
+    J^{-1} = -J), and, the map being an involution, M from P."""
+    return linalg.mat_neg(linalg.transpose(matrix))
+
+
 def dual_to_primal(J):
-    """Operator on vectors: P = -M^T (uses J^{-1} = -J)."""
+    """Operator on vectors: P = -M^T."""
     if not squares_to_minus_id(J.dual):
         raise NotAlmostComplex(f"{J.name}: dual matrix does not square to -Id")
-    return linalg.mat_neg(linalg.transpose(J.dual))
+    return minus_transpose(J.dual)
 
 
 def nijenhuis(g, P, i, j):
@@ -73,7 +80,7 @@ def is_complex_structure(g, J):
     """M^2 = -Id and vanishing Nijenhuis tensor, as parameter identities."""
     if not squares_to_minus_id(J.dual):
         return False
-    P = linalg.mat_neg(linalg.transpose(J.dual))
+    P = minus_transpose(J.dual)
     for i, j in basis_tuples(g.dim, 2):
         if any(not c.is_zero() for c in nijenhuis(g, P, i, j)):
             return False

@@ -19,6 +19,7 @@ from . import linalg
 from .errors import (
     Degenerate,
     Inconsistent,
+    LckError,
     NotClosed,
     NoWitness,
     ThetaZero,
@@ -186,7 +187,7 @@ def morse_novikov_betti(g, theta, assignment=None):
     """Dimensions of the d_theta = d - theta^_ cohomology in each degree.
 
     Exact ranks over QQ at a fully instantiated point; d(theta) = 0 is
-    required and d_theta^2 = 0 is asserted before computing ranks.
+    required and d_theta^2 = 0 is checked before computing ranks.
     """
     assignment = assignment or {}
     gq = g.instantiate(assignment)
@@ -210,8 +211,8 @@ def morse_novikov_betti(g, theta, assignment=None):
                          for r in range(len(bases[k + 1]))])
 
     for k in range(n - 1):
-        square = linalg.mat_mul(matrices[k + 1], matrices[k])
-        assert linalg.is_zero_matrix(square), "d_theta^2 != 0"
+        if not linalg.is_zero_matrix(linalg.mat_mul(matrices[k + 1], matrices[k])):
+            raise LckError("d_theta^2 != 0")
 
     ranks = [linalg.rank(m, len(bases[k])) for k, m in enumerate(matrices)]
     betti = []

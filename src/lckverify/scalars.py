@@ -20,6 +20,7 @@ which makes equality a comparison of representations.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 
@@ -674,27 +675,38 @@ def parse_expression(text):
     return node
 
 
-def ast_to_scalar(node, field):
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _fold(node, leaf):
+    """Value of an expression tree: `leaf` gives the values of the num, var
+    and call nodes, and the arithmetic nodes combine them."""
     op = node[0]
-    if op == "num":
-        return field.scalar(node[1])
-    if op == "var":
-        return field.var(node[1])
+    if op in ("num", "var", "call"):
+        return leaf(node)
     if op == "neg":
-        return -ast_to_scalar(node[1], field)
-    if op == "add":
-        return ast_to_scalar(node[1], field) + ast_to_scalar(node[2], field)
-    if op == "sub":
-        return ast_to_scalar(node[1], field) - ast_to_scalar(node[2], field)
-    if op == "mul":
-        return ast_to_scalar(node[1], field) * ast_to_scalar(node[2], field)
-    if op == "div":
-        return ast_to_scalar(node[1], field) / ast_to_scalar(node[2], field)
+        return -_fold(node[1], leaf)
     if op == "pow":
-        return ast_to_scalar(node[1], field) ** node[2]
-    if op == "call":
-        raise ParseError(f"function {node[1]!r} is not a rational function")
+        return _fold(node[1], leaf) ** node[2]
+    if op == "div":
+        d = _fold(node[2], leaf)
+        if not d:
+            raise DenominatorVanishes("division by zero in expression")
+        return _fold(node[1], leaf) / d
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](_fold(node[1], leaf), _fold(node[2], leaf))
     raise ParseError(f"bad expression node {op!r}")
+
+
+def ast_to_scalar(node, field):
+    def leaf(node):
+        if node[0] == "num":
+            return field.scalar(node[1])
+        if node[0] == "var":
+            return field.var(node[1])
+        raise ParseError(f"function {node[1]!r} is not a rational function")
+
+    return _fold(node, leaf)
 
 
 def sqrt_fraction(value):
@@ -712,35 +724,16 @@ def eval_expression(text, assignment):
     """Evaluate an expression at a rational point.  Unlike Scalar.eval this
     accepts sqrt(...), failing with IrrationalRadical unless the radicand is a
     perfect square of a rational."""
-    return _eval_node(parse_expression(text), assignment)
-
-
-def _eval_node(node, assignment):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        try:
-            return Fraction(assignment[node[1]])
-        except KeyError:
-            raise MissingParameter(node[1]) from None
-    if op == "neg":
-        return -_eval_node(node[1], assignment)
-    if op == "add":
-        return _eval_node(node[1], assignment) + _eval_node(node[2], assignment)
-    if op == "sub":
-        return _eval_node(node[1], assignment) - _eval_node(node[2], assignment)
-    if op == "mul":
-        return _eval_node(node[1], assignment) * _eval_node(node[2], assignment)
-    if op == "div":
-        d = _eval_node(node[2], assignment)
-        if d == 0:
-            raise DenominatorVanishes("division by zero in expression")
-        return _eval_node(node[1], assignment) / d
-    if op == "pow":
-        return _eval_node(node[1], assignment) ** node[2]
-    if op == "call":
+    def leaf(node):
+        if node[0] == "num":
+            return node[1]
+        if node[0] == "var":
+            try:
+                return Fraction(assignment[node[1]])
+            except KeyError:
+                raise MissingParameter(node[1]) from None
         if node[1] != "sqrt":
             raise ParseError(f"unknown function {node[1]!r}")
-        return sqrt_fraction(_eval_node(node[2], assignment))
-    raise ParseError(f"bad expression node {op!r}")
+        return sqrt_fraction(_fold(node[2], leaf))
+
+    return _fold(parse_expression(text), leaf)

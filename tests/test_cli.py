@@ -26,13 +26,17 @@ def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 2
 
 
-def _spec(tmp_path, **changes):
-    data = json.loads((SPECS / "ot_extension.json").read_text())
+def _spec(tmp_path, example="ot_extension.json", **changes):
+    data = json.loads((SPECS / example).read_text())
     data.update(changes)
     data = {k: v for k, v in data.items() if v is not None}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+_ZERO4 = [["0"] * 4] * 4
+_COKAHLER = "cokahler_torus.json"
 
 
 @pytest.mark.parametrize("argv, location", [
@@ -44,8 +48,21 @@ def _spec(tmp_path, **changes):
     (lambda tmp: ["mn", "--algebra", "0,0,0,0", "--theta", "0", "--at", "{bad"],
      "--at"),
     (lambda tmp: ["ot", "--n", "1", "--c", "1,x"], "--c"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, rho=5)], "'rho'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, rho=[_ZERO4[:3] + [["0"] * 3]]
+                                            + [_ZERO4] * 3)], "'rho'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, rho=[_ZERO4] * 2)], "'rho'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, rho=[[["1+"] + ["0"] * 3] + _ZERO4[1:]]
+                                            + [_ZERO4] * 3)], "'rho'"),
+    (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, Phi=["0"])], "'Phi'"),
+    (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, metric=["1"])], "'metric'"),
+    (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, D=["0"])], "'D'"),
+    (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, eta=5)], "'eta'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
-        "missing-catalog", "mn-bad-at", "ot-bad-c"])
+        "missing-catalog", "mn-bad-at", "ot-bad-c", "extend-rho-not-a-list",
+        "extend-ragged-rho", "extend-too-few-rho", "extend-bad-rho-expression",
+        "cokahler-short-phi", "cokahler-short-metric", "cokahler-short-d",
+        "cokahler-eta-not-a-string"])
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -1,19 +1,24 @@
 """Extension builders: representations, the unimodular family, mapping tori."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lckverify import linalg
+from lckverify import constructions, lck, linalg
 from lckverify.constructions import (
     CoKaehlerData,
     LcKExtensionSpec,
     aff_block_lck,
     cokahler_mapping_torus,
+    extension_by_derivation,
+    extension_by_representation,
     lck_extension,
     ot_algebra,
     reeb_vector,
-    semidirect_extension,
     unimodularity_check,
 )
 from lckverify.errors import (
@@ -25,7 +30,7 @@ from lckverify.errors import (
     RhoNotSkew,
 )
 from lckverify.exterior import basis_tuples, parse_form
-from lckverify.lck import vaisman_test, verify_lck
+from lckverify.lck import CheckRecord, LckReport, vaisman_test, verify_lck
 from lckverify.liealg import LieAlgebra, parse_salamon
 from lckverify.scalars import QQ, ScalarField
 
@@ -40,7 +45,7 @@ def mat(field, rows):
 def test_extension_by_zero_derivation():
     g = parse_salamon("0,0,-12,0")
     zero = [[QQ.zero()] * 4 for _ in range(4)]
-    out = semidirect_extension(g, zero)
+    out = extension_by_derivation(g, zero)
     assert out.dim == 5 and out.jacobi_holds()
     # direct sum: the new generator brackets to zero
     e5 = [QQ.zero()] * 4 + [QQ.one()]
@@ -50,7 +55,7 @@ def test_extension_by_zero_derivation():
 def test_extension_by_rotation_derivation():
     r2 = LieAlgebra.abelian(QQ, 2)
     B = mat(QQ, [[0, -1], [1, 0]])
-    h = semidirect_extension(r2, B)
+    h = extension_by_derivation(r2, B)
     assert h.dim == 3 and h.jacobi_holds()
     # [e3, e1] = e2 and [e3, e2] = -e1
     e3 = [QQ.zero(), QQ.zero(), QQ.one()]
@@ -62,7 +67,7 @@ def test_extension_rejects_non_derivation():
     g = parse_salamon("0,0,-12,0")
     bad = mat(QQ, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(NotADerivation):
-        semidirect_extension(g, bad)
+        extension_by_derivation(g, bad)
 
 
 def test_representation_mode_rejects_non_representation():
@@ -71,7 +76,7 @@ def test_representation_mode_rejects_non_representation():
     rot = mat(QQ, [[0, -1], [1, 0]])
     # pi(e1), pi(e2) commute but pi([e1,e2]) = pi(e3) = rot != 0
     with pytest.raises(NotARepresentation):
-        semidirect_extension(g, [z, z, rot, z])
+        extension_by_representation(g, [z, z, rot, z])
 
 
 # -- lcK extensions --------------------------------------------------------------
@@ -98,7 +103,7 @@ def test_lck_extension_builds_and_verifies():
     spec = ot_extension_spec()
     g, out = lck_extension(spec)
     assert g.dim == 6
-    assert verify_lck(out).passed  # also asserted inside the builder
+    assert verify_lck(out).passed  # also checked inside the builder
 
 
 def test_lck_extension_never_vaisman():
@@ -343,3 +348,52 @@ def test_cokahler_rejects_broken_axioms():
     with pytest.raises(AlphaZero):
         cokahler_mapping_torus(CoKaehlerData(
             data.h, data.eta, data.xi, data.Phi, data.metric, data.D, 0))
+
+
+# -- the self-checks survive python -O ---------------------------------------------
+
+
+def _failing_report(s):
+    return LckReport(s.name, [CheckRecord("positive", False)])
+
+
+def _break_check_and_build(case):
+    """Patch one self-check to fail, then run the code that makes it."""
+    if case == "ot":
+        constructions.verify_lck = _failing_report
+        constructions.ot_algebra(2, [1, 2])
+    elif case == "cokahler":
+        constructions.is_complex_structure = lambda g, J: False
+        constructions.cokahler_mapping_torus(cok3_data())
+    elif case == "extension":
+        constructions.verify_lck = _failing_report
+        constructions.lck_extension(ot_extension_spec())
+    else:
+        linalg.is_zero_matrix = lambda m: False
+        lck.morse_novikov_betti(parse_salamon("0,0,-12,0"), parse_form(QQ, 4, "-e4"))
+
+
+_OPTIMIZED_RUN = """
+import sys
+import test_constructions
+from lckverify.errors import LckError
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    test_constructions._break_check_and_build(sys.argv[1])
+except LckError:
+    sys.exit(0)
+sys.exit("returned although its self-check failed")
+"""
+
+
+@pytest.mark.parametrize("case", ["ot", "cokahler", "extension", "betti"])
+def test_self_checks_survive_optimize(case):
+    """`python -O` strips asserts; the self-checks must still raise."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_RUN, case],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

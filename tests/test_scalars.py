@@ -56,6 +56,11 @@ def test_eval_errors():
         F.parse("1/b").eval({"b": 0})
     with pytest.raises(MissingParameter):
         F.parse("a+b").eval({"a": 1})
+    # a zero divisor in the text itself, in both evaluators
+    with pytest.raises(DenominatorVanishes):
+        eval_expression("1/(t4-t4)", {"t4": Fraction(1)})
+    with pytest.raises(DenominatorVanishes):
+        F.parse("a/(b-b)")
 
 
 def test_is_zero_examples():
