@@ -185,6 +185,13 @@ def _read(parse, value, where):
         raise UsageError(f"{where}: cannot read {value!r}: {exc}") from None
 
 
+def _strings(value, where):
+    """A JSON list of strings, or a usage error at `where`."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise UsageError(f"{where}: expected a list of strings")
+    return value
+
+
 def _square(field, rows, size, where):
     """A size x size matrix of Scalars from a JSON list of rows of expressions."""
     if not (isinstance(rows, list) and len(rows) == size
@@ -237,8 +244,8 @@ def cmd_solve(args):
 def _j_exprs(jarg):
     if "." in jarg and "/" not in jarg:
         return []
-    data = _load_json_file(jarg, "complex structure")
-    return data.get("matrix", [])
+    data = _load_json_file(jarg, "complex structure", ("matrix",))
+    return _strings(data["matrix"], f"--J {jarg}: key 'matrix'")
 
 
 def _resolve_j(jarg, g, field):
@@ -334,7 +341,7 @@ def cmd_extend(args):
     if fam is None:
         raise UsageError(f"{args.spec}: key 'family': entry {entry.id} has no "
                          f"lcK family {data['family']!r}")
-    extra = list(data.get("params", []))
+    extra = _strings(data.get("params", []), f"{args.spec}: key 'params'")
     base = entry.family_structure(fam, extra_params=extra)
     bind = _read(_fractions, data.get("bind", {}), f"{args.spec}: key 'bind'")
     if bind:

@@ -15,7 +15,10 @@ printing and leading terms).  Scalars are normalized so that
   * the denominator has integer coprime coefficients,
   * the leading coefficient of the denominator is positive,
 
-which makes equality a comparison of representations.
+which makes equality a comparison of representations.  Since every
+Scalar is already in normal form, addition, subtraction and
+multiplication with a zero operand return that normal form without
+any polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -372,6 +375,10 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms and other.field is self.field:
+            return other
         if self.den == other.den:
             return Scalar(self.field, self.num + other.num, self.den)
         return Scalar(self.field,
@@ -384,6 +391,10 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms and other.field is self.field:
+            return -other
         if self.den == other.den:
             return Scalar(self.field, self.num - other.num, self.den)
         return Scalar(self.field,
@@ -400,6 +411,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.num.terms or not other.num.terms:
+            return self.field.zero()
         return Scalar(self.field, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -35,6 +35,12 @@ def _spec(tmp_path, example="ot_extension.json", **changes):
     return str(path)
 
 
+def _j_file(tmp_path, matrix):
+    path = tmp_path / "J.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    return str(path)
+
+
 _ZERO4 = [["0"] * 4] * 4
 _COKAHLER = "cokahler_torus.json"
 
@@ -58,11 +64,15 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, metric=["1"])], "'metric'"),
     (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, D=["0"])], "'D'"),
     (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, eta=5)], "'eta'"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
+                  "--J", _j_file(tmp, [0] * 16)], "'matrix'"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, params=5)], "'params'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
         "missing-catalog", "mn-bad-at", "ot-bad-c", "extend-rho-not-a-list",
         "extend-ragged-rho", "extend-too-few-rho", "extend-bad-rho-expression",
         "cokahler-short-phi", "cokahler-short-metric", "cokahler-short-d",
-        "cokahler-eta-not-a-string"])
+        "cokahler-eta-not-a-string", "solve-j-matrix-not-strings",
+        "extend-params-not-a-list"])
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err

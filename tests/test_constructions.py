@@ -350,6 +350,16 @@ def test_cokahler_rejects_broken_axioms():
             data.h, data.eta, data.xi, data.Phi, data.metric, data.D, 0))
 
 
+def test_cokahler_rejects_eta_not_closed():
+    # on the Heisenberg algebra d(e3) = e12, so the same eta, xi, Phi and
+    # metric pass cK1-cK3 but are not coKaehler
+    data = cok3_data()
+    data.h = parse_salamon("0,0,12", name="heis3")
+    with pytest.raises(NotCoKaehler) as err:
+        cokahler_mapping_torus(data)
+    assert err.value.condition == "cK4"
+
+
 # -- the self-checks survive python -O ---------------------------------------------
 
 

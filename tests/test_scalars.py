@@ -1,5 +1,6 @@
 """Field axioms and normalization of the exact scalar arithmetic."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from lckverify.errors import DenominatorVanishes, MissingParameter, ParseError
 from lckverify.scalars import (
     QQ,
     Polynomial,
+    Scalar,
     ScalarField,
     _exact_div,
     eval_expression,
@@ -94,6 +96,37 @@ def test_eval_is_ring_homomorphism():
         assert vxy == vx * vy
         assert vsum == vx + vy
         done += 1
+
+
+def _general_path(op, a, b):
+    """a op b through the normalising constructor, in a's field."""
+    if op is operator.mul:
+        num = a.num * b.num
+    else:
+        num = op(a.num * b.den, b.num * a.den)
+    return Scalar(a.field, num, a.den * b.den)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["parametric", "QQ"])
+def test_zero_operand_matches_normal_form(field):
+    """x + 0, 0 + x, x - 0, 0 - x, x * 0 and 0 * x skip the arithmetic but
+    give what the normalising constructor gives, in the left operand's
+    field, also for a zero from a distinct field with the same names."""
+    rng = random.Random(23)
+    twin = ScalarField(field.vars)
+    for _ in range(40):
+        if field.vars:
+            x = random_scalar(rng, field)
+        else:
+            x = field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for zero in (field.zero(), 0, twin.zero()):
+            z = zero if isinstance(zero, Scalar) else field.scalar(zero)
+            for op in (operator.add, operator.sub, operator.mul):
+                for got, want in ((op(x, zero), _general_path(op, x, z)),
+                                  (op(zero, x), _general_path(op, z, x))):
+                    assert got.field is want.field
+                    assert got.num.terms == want.num.terms
+                    assert got.den.terms == want.den.terms
 
 
 def test_normalization_is_canonical():
