@@ -18,10 +18,11 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 
 from . import linalg
 from .errors import SchemaError
-from .exterior import KForm, parse_form
+from .exterior import parse_form
 from .hermitian import (
     ComplexStructure,
     commutes_with,
@@ -144,20 +145,21 @@ class CatalogEntry:
     replays: list = dataclass_field(default_factory=list)
     equivalences: list = dataclass_field(default_factory=list)
     notes: list = dataclass_field(default_factory=list)
+    #: algebras by (None, names), Js by (name, names); dropped by `verify_catalog`
+    _built: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- builders ---------------------------------------------------------
 
-    def field_for(self, *groups):
+    def algebra(self, *groups):
+        """The algebra over QQ(params, then the new names of each group),
+        parsed once per name list."""
         names = list(self.params)
-        for group in groups:
-            for p in group:
-                if p not in names:
-                    names.append(p)
-        return ScalarField(tuple(names))
-
-    def algebra(self, field=None):
-        field = field or self.field_for()
-        return parse_salamon(self.salamon, field=field, name=self.id)
+        names += [p for p in dict.fromkeys(chain(*groups)) if p not in names]
+        key = (None, tuple(names))
+        if key not in self._built:
+            self._built[key] = parse_salamon(self.salamon, field=ScalarField(key[1]),
+                                             name=self.id)
+        return self._built[key]
 
     def j_record(self, name):
         for rec in self.complex_structures:
@@ -165,20 +167,22 @@ class CatalogEntry:
                 return rec
         raise SchemaError(f"{self.id}", f"unknown complex structure {name!r}")
 
-    def complex_structure(self, name, field=None):
+    def complex_structure(self, name, *groups):
+        """J over the algebra of `algebra(J params, *groups)`, built once
+        per name list; it carries that algebra and its field."""
         rec = self.j_record(name)
-        field = field or self.field_for(rec.params)
-        g = self.algebra(field)
-        n = g.dim
-        matrix = [[field.parse(rec.matrix[i * n + j]) for j in range(n)]
-                  for i in range(n)]
-        return ComplexStructure(g, matrix, name=f"{self.id}.{name}")
+        g = self.algebra(rec.params, *groups)
+        key = (name, g.field.vars)
+        if key not in self._built:
+            n = g.dim
+            matrix = [[g.field.parse(rec.matrix[i * n + j]) for j in range(n)]
+                      for i in range(n)]
+            self._built[key] = ComplexStructure(g, matrix, name=f"{self.id}.{name}")
+        return self._built[key]
 
     def family_structure(self, fam, extra_params=()):
-        jrec = self.j_record(fam.J)
-        field = self.field_for(jrec.params, fam.params, extra_params)
-        g = self.algebra(field)
-        J = self.complex_structure(fam.J, field)
+        J = self.complex_structure(fam.J, fam.params, extra_params)
+        g, field = J.algebra, J.field
         theta = parse_form(field, g.dim, fam.theta, degree=1)
         omega = parse_form(field, g.dim, fam.omega, degree=2)
         constraints = [parse_constraint(field, c) for c in fam.constraints]
@@ -351,10 +355,9 @@ def verify_entry(entry):
                residual="" if ok else f"got {[[str(x) for x in v] for v in got]}")
 
     for rec in entry.complex_structures:
-        field = entry.field_for(rec.params)
-        J = entry.complex_structure(rec.name, field)
-        ok = is_complex_structure(entry.algebra(field), J)
-        _check(records, f"{entry.id}/J:{rec.name}/complex", ok, note=rec.note)
+        J = entry.complex_structure(rec.name)
+        _check(records, f"{entry.id}/J:{rec.name}/complex",
+               is_complex_structure(J.algebra, J), note=rec.note)
 
     for rec in entry.automorphisms:
         records.extend(_verify_automorphism(entry, rec))
@@ -373,17 +376,15 @@ def verify_entry(entry):
 
 def _verify_automorphism(entry, rec):
     records = []
-    field = entry.field_for(rec.params)
-    n = len(entry.salamon.split(","))
-    samples = rec.samples or [{}]
-    for k, sample in enumerate(samples):
+    g = entry.algebra(rec.params)
+    n = g.dim
+    for k, sample in enumerate(rec.samples or [{}]):
         assignment = dict(_fractions(entry.center_witness))
         assignment.update(_fractions(sample))
-        gq = entry.algebra(field).instantiate(assignment)
         matrix = [[QQ.scalar(eval_expression(rec.matrix[i * n + j], assignment))
                    for j in range(n)] for i in range(n)]
-        ok = is_automorphism(gq, matrix)
-        constraint_ok = all(parse_constraint(field, c).holds_at(assignment)
+        ok = is_automorphism(g.instantiate(assignment), matrix)
+        constraint_ok = all(parse_constraint(g.field, c).holds_at(assignment)
                             for c in rec.constraints)
         commute_ok = not rec.J or commutes_with(
             matrix, entry.complex_structure(rec.J).instantiate(assignment))
@@ -442,10 +443,8 @@ def _verify_family(entry, fam):
 
 def _lee_setup(entry, rec):
     """Algebra, J and theta of a no-lcK or replay record, over one field."""
-    field = entry.field_for(entry.j_record(rec.J).params, rec.params)
-    g = entry.algebra(field)
-    J = entry.complex_structure(rec.J, field)
-    return g, J, parse_form(field, g.dim, rec.theta, degree=1)
+    J = entry.complex_structure(rec.J, rec.params)
+    return J.algebra, J, parse_form(J.field, J.algebra.dim, rec.theta, degree=1)
 
 
 def _verify_no_lck(entry, rec):
@@ -484,14 +483,11 @@ def verify_equivalence(entry):
     records = []
     for rec in entry.equivalences:
         prefix = f"{entry.id}/equiv:{rec.name}"
-        jrec = entry.j_record(rec.J)
-        field = entry.field_for(jrec.params, rec.params)
-        g = entry.algebra(field)
-        n = g.dim
+        J = entry.complex_structure(rec.J, rec.params)
+        field, n = J.field, J.algebra.dim
         witness = _fractions(rec.witness)
-        gq = g.instantiate(witness)
-        Jq = entry.complex_structure(rec.J, field).instantiate(witness)
-
+        Jq = J.instantiate(witness)
+        gq = Jq.algebra
         theta = parse_form(field, n, rec.start_theta, degree=1).instantiate(witness)
         omega = parse_form(field, n, rec.start_omega, degree=2).instantiate(witness)
         all_ok = True
@@ -517,20 +513,5 @@ def verify_catalog(catalog, entry_ids=None):
     for eid in sorted(set(entry_ids or [e.id for e in catalog.entries])):
         entry = catalog.get(eid)
         records.extend(verify_entry(entry) + verify_equivalence(entry))
+        entry._built.clear()
     return records
-
-
-def mutate_omega_sign(entry, fam, index):
-    """The family with the sign of one stored Omega term flipped.
-
-    Used by the mutation smoke test: any single sign flip must make at
-    least one verification check fail.
-    """
-    s = entry.family_structure(fam)
-    keys = sorted(s.omega.coeffs)
-    key = keys[index % len(keys)]
-    coeffs = dict(s.omega.coeffs)
-    coeffs[key] = -coeffs[key]
-    mutated = KForm(s.algebra.field, s.algebra.dim, 2, coeffs)
-    return LcKStructure(s.algebra, s.J, s.theta, mutated, s.constraints,
-                        s.witnesses, name=s.name + "~mut")

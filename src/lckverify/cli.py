@@ -25,15 +25,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 
 from . import __version__
-from .catalog import (
-    Check,
-    _fractions,
-    load_builtin,
-    load_catalog,
-    verify_catalog,
-    verify_entry,
-    verify_equivalence,
-)
+from .catalog import Check, _fractions, load_builtin, load_catalog, verify_catalog
 from .constructions import (
     CoKaehlerData,
     LcKExtensionSpec,
@@ -159,8 +151,11 @@ def _collect_names(*texts):
     return names
 
 
-def _algebra_and_field(spec, *exprs):
-    names = _collect_names(spec, *exprs)
+def _algebra_and_field(spec, *located):
+    """--algebra over the field of its names and those of each (where, text)."""
+    names = []
+    for where, text in (("--algebra", spec),) + located:
+        names += [name for name in _read(_collect_names, text, where) if name not in names]
     field = ScalarField(tuple(names))
     return parse_salamon(spec, field=field, name="algebra"), field
 
@@ -229,8 +224,8 @@ def cmd_verify_table(args):
 
 def cmd_solve(args):
     report = Report(command=["solve", args.algebra, args.theta])
-    g, field = _algebra_and_field(args.algebra, args.theta,
-                                  *(_j_exprs(args.J) if args.J else []))
+    g, field = _algebra_and_field(args.algebra, ("--theta", args.theta), *(
+        (f"--J {args.J}: key 'matrix'", x) for x in _j_exprs(args.J)))
     theta = parse_form(field, g.dim, args.theta, degree=1)
     space = twisted_closed_space(g, theta)
     report.result("twisted_closed_space", str(space))
@@ -242,7 +237,7 @@ def cmd_solve(args):
 
 
 def _j_exprs(jarg):
-    if "." in jarg and "/" not in jarg:
+    if not jarg or ("." in jarg and "/" not in jarg):
         return []
     data = _load_json_file(jarg, "complex structure", ("matrix",))
     return _strings(data["matrix"], f"--J {jarg}: key 'matrix'")
@@ -301,7 +296,7 @@ def _vaisman_str(v):
 
 def cmd_lee(args):
     report = Report(command=["lee", args.algebra, args.omega])
-    g, field = _algebra_and_field(args.algebra, args.omega)
+    g, field = _algebra_and_field(args.algebra, ("--omega", args.omega))
     omega = parse_form(field, g.dim, args.omega, degree=2)
     theta, closed = lee_form(g, omega)
     report.result("lee_form", f"theta = {theta}; closed = {closed}")
@@ -310,7 +305,7 @@ def cmd_lee(args):
 
 def cmd_mn(args):
     report = Report(command=["mn", args.algebra, args.theta])
-    g, field = _algebra_and_field(args.algebra, args.theta)
+    g, field = _algebra_and_field(args.algebra, ("--theta", args.theta))
     theta = parse_form(field, g.dim, args.theta, degree=1)
     point = (_read(lambda t: _fractions(json.loads(t)), args.at, "--at")
              if args.at else {})

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeZero, DimensionMismatch, IndexOutOfRange, ParseError
-from .scalars import QQ, Scalar, ast_to_scalar, parse_expression, tokenize
+from .scalars import QQ, Scalar, parse_expression
 
 
 def merge_sign(left, right):

@@ -6,12 +6,13 @@ matrices acting on the coframe, with columns the images of e^1..e^n
 vectors is always derived via P = -M^T, never transcribed, and the map
 is written once, in `minus_transpose`, so there is a single place where
 the convention can go wrong; the self-tests pin it against the rh3 data
-where both sides are known.
+where both sides are known.  P is derived once per J, after the check
+M^2 = -Id, and cached on it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import NotAlmostComplex, NotInvariant, SingularMatrix
@@ -31,22 +32,22 @@ class ComplexStructure:
     def field(self):
         return self.algebra.field
 
+    @cached_property
+    def P(self):
+        """The operator on vectors, P = -M^T; NotAlmostComplex unless M^2 = -Id."""
+        minus_id = linalg.mat_neg(linalg.identity(self.field, len(self.dual)))
+        if not linalg.mat_eq(linalg.mat_mul(self.dual, self.dual), minus_id):
+            raise NotAlmostComplex(f"{self.name}: dual matrix does not square to -Id")
+        return minus_transpose(self.dual)
+
     def instantiate(self, assignment):
-        g = self.algebra.instantiate(assignment)
-        dual = [[QQ.scalar(x.eval(assignment)) for x in row] for row in self.dual]
-        return ComplexStructure(g, dual, name=self.name)
+        return ComplexStructure(self.algebra.instantiate(assignment),
+                                matrix_at(self.dual, assignment), name=self.name)
 
 
-def squares_to_minus_id(matrix):
-    n = len(matrix)
-    field = matrix[0][0].field
-    m2 = linalg.mat_mul(matrix, matrix)
-    for i in range(n):
-        for j in range(n):
-            want = field.scalar(-1) if i == j else field.zero()
-            if m2[i][j] != want:
-                return False
-    return True
+def matrix_at(matrix, assignment):
+    """A matrix of Scalars evaluated at a rational point, over QQ."""
+    return [[QQ.scalar(x.eval(assignment)) for x in row] for row in matrix]
 
 
 def minus_transpose(matrix):
@@ -57,9 +58,7 @@ def minus_transpose(matrix):
 
 def dual_to_primal(J):
     """Operator on vectors: P = -M^T."""
-    if not squares_to_minus_id(J.dual):
-        raise NotAlmostComplex(f"{J.name}: dual matrix does not square to -Id")
-    return minus_transpose(J.dual)
+    return J.P
 
 
 def nijenhuis(g, P, i, j):
@@ -78,13 +77,12 @@ def nijenhuis(g, P, i, j):
 
 def is_complex_structure(g, J):
     """M^2 = -Id and vanishing Nijenhuis tensor, as parameter identities."""
-    if not squares_to_minus_id(J.dual):
+    try:
+        P = J.P
+    except NotAlmostComplex:
         return False
-    P = minus_transpose(J.dual)
-    for i, j in basis_tuples(g.dim, 2):
-        if any(not c.is_zero() for c in nijenhuis(g, P, i, j)):
-            return False
-    return True
+    return all(c.is_zero() for i, j in basis_tuples(g.dim, 2)
+               for c in nijenhuis(g, P, i, j))
 
 
 def coframe_substitution(matrix, form):
@@ -144,16 +142,8 @@ def is_j_invariant(omega, J):
 def gram_metric(omega, J):
     """G[i][j] = Omega(e_i, P e_j); raises NotInvariant when not symmetric."""
     g = J.algebra
-    field = g.field
-    P = dual_to_primal(J)
-    G = []
-    for i in range(1, g.dim + 1):
-        row = []
-        for j in range(g.dim):
-            ei = [field.one() if t == i - 1 else field.zero() for t in range(g.dim)]
-            pj = [P[t][j] for t in range(g.dim)]
-            row.append(omega(ei, pj))
-        G.append(row)
+    columns = linalg.transpose(dual_to_primal(J))  # the vectors P e_j
+    G = [[omega(ei, pj) for pj in columns] for ei in linalg.identity(g.field, g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             if G[i][j] != G[j][i]:
@@ -165,6 +155,10 @@ def gram_metric(omega, J):
 
 def is_positive_at(omega, J, assignment):
     """Sylvester criterion on the gram matrix at a rational point."""
-    G = gram_metric(omega, J)
-    Gq = [[QQ.scalar(x.eval(assignment)) for x in row] for row in G]
-    return all(m.constant_value() > 0 for m in linalg.leading_principal_minors(Gq))
+    return sylvester_positive(gram_metric(omega, J), assignment)
+
+
+def sylvester_positive(G, assignment):
+    """Sylvester criterion on a symmetric matrix at a rational point."""
+    minors = linalg.leading_principal_minors(matrix_at(G, assignment))
+    return all(m.constant_value() > 0 for m in minors)

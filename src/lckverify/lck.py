@@ -13,7 +13,7 @@ every witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     ThetaZero,
 )
 from .exterior import KForm, basis_tuples
-from .hermitian import dual_to_primal, gram_metric, is_j_invariant, is_positive_at
+from .hermitian import gram_metric, is_j_invariant, matrix_at, sylvester_positive
 from .scalars import QQ
 
 
@@ -63,6 +63,11 @@ class LcKStructure:
     constraints: list = dataclass_field(default_factory=list)
     witnesses: list = dataclass_field(default_factory=list)
     name: str = ""
+
+    @cached_property
+    def metric(self):
+        """The gram matrix of Omega and J, built once per structure."""
+        return gram_metric(self.omega, self.J)
 
 
 @dataclass
@@ -111,8 +116,7 @@ def verify_lck(s):
         checks.append(CheckRecord("witness_in_region", ok and nonzero, witness=w,
                                   note="" if nonzero else "theta vanishes at witness"))
         if invariant:
-            positive = is_positive_at(s.omega, s.J, w)
-            checks.append(CheckRecord("positive", positive, witness=w))
+            checks.append(CheckRecord("positive", sylvester_positive(s.metric, w), witness=w))
     return LckReport(s.name, checks)
 
 
@@ -154,8 +158,7 @@ def vaisman_vector(s, assignment):
     g = s.algebra.instantiate(assignment)
     n = g.dim
     theta = s.theta.instantiate(assignment)
-    G = gram_metric(s.omega, s.J)
-    Gq = [[QQ.scalar(x.eval(assignment)) for x in row] for row in G]
+    Gq = matrix_at(s.metric, assignment)
     theta_coords = [theta.coeffs.get((i,), QQ.zero()) for i in range(1, n + 1)]
     if all(c.is_zero() for c in theta_coords):
         raise ThetaZero("theta vanishes at the witness")

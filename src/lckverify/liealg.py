@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .exterior import KForm, basis_tuples
-from .scalars import QQ, Scalar, parse_expression
+from .scalars import QQ, Scalar
 
 
 class LieAlgebra:

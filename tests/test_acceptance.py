@@ -13,7 +13,6 @@ import pytest
 
 from lckverify.catalog import (
     load_builtin,
-    mutate_omega_sign,
     verify_catalog,
     verify_entry,
     verify_equivalence,
@@ -25,6 +24,7 @@ from lckverify.scalars import QQ
 
 import test_constructions
 import test_lck
+from test_catalog import mutate_omega_sign
 
 
 @pytest.fixture(scope="module")

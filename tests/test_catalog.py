@@ -1,7 +1,9 @@
 """Loading, cross-validation, and row-level verification of the catalog."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -9,13 +11,29 @@ from lckverify.catalog import (
     builtin_catalog_text,
     load_builtin,
     load_catalog,
-    mutate_omega_sign,
     verify_catalog,
     verify_entry,
     verify_equivalence,
 )
 from lckverify.errors import SchemaError
-from lckverify.lck import lee_form, verify_lck
+from lckverify.exterior import KForm
+from lckverify.lck import LcKStructure, lee_form, verify_lck
+
+
+def mutate_omega_sign(entry, fam, index):
+    """The family with the sign of one stored Omega term flipped.
+
+    Used by the mutation smoke tests: any single sign flip must make at
+    least one verification check fail.
+    """
+    s = entry.family_structure(fam)
+    keys = sorted(s.omega.coeffs)
+    key = keys[index % len(keys)]
+    coeffs = dict(s.omega.coeffs)
+    coeffs[key] = -coeffs[key]
+    mutated = KForm(s.algebra.field, s.algebra.dim, 2, coeffs)
+    return LcKStructure(s.algebra, s.J, s.theta, mutated, s.constraints,
+                        s.witnesses, name=s.name + "~mut")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +122,28 @@ def test_identity_chain_is_a_no_op(catalog):
     chain.expected_omega = chain.start_omega
     records = verify_equivalence(entry)
     assert all(r.passed for r in records)
+
+
+def test_complex_structure_is_built_once_per_parameter_list(catalog):
+    entry = catalog.get("gl2")
+    name = entry.complex_structures[0].name
+    J = entry.complex_structure(name, ["x"])
+    assert entry.complex_structure(name, ["x"]) is J
+    assert J.algebra is entry.algebra(entry.j_record(name).params, ["x"])
+    assert J.field.vars[-1] == "x"
+    assert entry.complex_structure(name) is not J
+
+
+def test_verify_catalog_drops_the_entry_cache():
+    """What an entry builds lives only until its records are done, so a
+    full run holds one entry's objects at a time."""
+    cat = load_builtin()
+    entry = cat.get("rh3")
+    ref = weakref.ref(entry.algebra())
+    assert ref() is entry.algebra()
+    records = verify_catalog(cat, ["rh3"])
+    gc.collect()
+    assert records and ref() is None
 
 
 def test_full_catalog_passes(catalog):

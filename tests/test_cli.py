@@ -67,12 +67,19 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
                   "--J", _j_file(tmp, [0] * 16)], "'matrix'"),
     (lambda tmp: ["extend", "--spec", _spec(tmp, params=5)], "'params'"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4+"], "--theta"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12+,0", "--theta", "e4"], "--algebra"),
+    (lambda tmp: ["lee", "--algebra", "0,0,-12,0", "--omega", "e12+"], "--omega"),
+    (lambda tmp: ["mn", "--algebra", "0,0,-12,0", "--theta", "e4+"], "--theta"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
+                  "--J", _j_file(tmp, ["1+"] + ["0"] * 15)], "'matrix'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
         "missing-catalog", "mn-bad-at", "ot-bad-c", "extend-rho-not-a-list",
         "extend-ragged-rho", "extend-too-few-rho", "extend-bad-rho-expression",
         "cokahler-short-phi", "cokahler-short-metric", "cokahler-short-d",
         "cokahler-eta-not-a-string", "solve-j-matrix-not-strings",
-        "extend-params-not-a-list"])
+        "extend-params-not-a-list", "solve-bad-theta", "solve-bad-algebra",
+        "lee-bad-omega", "mn-bad-theta", "solve-bad-j-expression"])
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err

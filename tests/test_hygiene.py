@@ -1,0 +1,57 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+- No module-level import goes unused; a name listed in `__all__` counts
+  as used.
+- No `assert` statement does the package's own checking, since
+  `python -O` strips them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "lckverify").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(tree):
+    """Names bound by module-level imports and never read."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom fractions import Fraction\n"
+                     "__all__ = ['Fraction']\n")
+    assert unused_imports(tree) == ["os (line 1)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_module_level_import(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statement(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert lines == [], f"assert statements at lines {lines}"

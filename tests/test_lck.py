@@ -103,6 +103,27 @@ def test_lee_form_roundtrip_on_catalog_rows():
             assert closed and theta == s.theta, f"{eid}/{fam.name}"
 
 
+def test_metric_is_built_once_per_structure(monkeypatch):
+    """verify_lck and vaisman_test at every witness share one gram matrix."""
+    from lckverify import hermitian, lck
+    from lckverify.catalog import load_builtin
+
+    real, calls = hermitian.gram_metric, []
+
+    def counted(omega, J):
+        calls.append(J.name)
+        return real(omega, J)
+
+    for module in (hermitian, lck):
+        monkeypatch.setattr(module, "gram_metric", counted)
+    entry = load_builtin().get("gl2")
+    s = entry.family_structure(entry.lck_families[0])
+    assert verify_lck(s).passed
+    for w in s.witnesses:
+        vaisman_test(s, w)
+    assert len(s.witnesses) >= 2 and len(calls) == 1
+
+
 def test_vaisman_rh3():
     ok, A = vaisman_test(rh3_structure(), {"s": Fraction(1)})
     assert ok
