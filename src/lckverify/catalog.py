@@ -145,7 +145,8 @@ class CatalogEntry:
     replays: list = dataclass_field(default_factory=list)
     equivalences: list = dataclass_field(default_factory=list)
     notes: list = dataclass_field(default_factory=list)
-    #: algebras by (None, names), Js by (name, names); dropped by `verify_catalog`
+    #: algebras by (None, names), Js by (name, names), family structures by
+    #: (family, names, "lck"); dropped by `verify_catalog`
     _built: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- builders ---------------------------------------------------------
@@ -181,14 +182,19 @@ class CatalogEntry:
         return self._built[key]
 
     def family_structure(self, fam, extra_params=()):
+        """The family's structure over the field of `complex_structure(fam.J,
+        fam.params, extra_params)`, built once per name list."""
         J = self.complex_structure(fam.J, fam.params, extra_params)
         g, field = J.algebra, J.field
-        theta = parse_form(field, g.dim, fam.theta, degree=1)
-        omega = parse_form(field, g.dim, fam.omega, degree=2)
-        constraints = [parse_constraint(field, c) for c in fam.constraints]
-        witnesses = [_fractions(w) for w in fam.witnesses]
-        return LcKStructure(g, J, theta, omega, constraints, witnesses,
-                            name=f"{self.id}/{fam.name}")
+        key = (fam.name, field.vars, "lck")
+        if key not in self._built:
+            theta = parse_form(field, g.dim, fam.theta, degree=1)
+            omega = parse_form(field, g.dim, fam.omega, degree=2)
+            constraints = [parse_constraint(field, c) for c in fam.constraints]
+            witnesses = [_fractions(w) for w in fam.witnesses]
+            self._built[key] = LcKStructure(g, J, theta, omega, constraints, witnesses,
+                                            name=f"{self.id}/{fam.name}")
+        return self._built[key]
 
 
 @dataclass
@@ -415,7 +421,7 @@ def _verify_family(entry, fam):
             theta, closed = lee_form(s.algebra, s.omega)
             roundtrip = closed and (theta - s.theta).is_zero()
             residual = "" if roundtrip else f"lee form {theta}"
-        except Exception as exc:  # Degenerate cannot happen on verified rows
+        except Exception as exc:  # omega ^ omega = 0 cannot happen on verified rows
             roundtrip, residual = False, f"{type(exc).__name__}: {exc}"
         _check(records, f"{prefix}/lee_roundtrip", roundtrip, residual=residual)
 

@@ -224,34 +224,27 @@ def cmd_verify_table(args):
 
 def cmd_solve(args):
     report = Report(command=["solve", args.algebra, args.theta])
-    g, field = _algebra_and_field(args.algebra, ("--theta", args.theta), *(
-        (f"--J {args.J}: key 'matrix'", x) for x in _j_exprs(args.J)))
+    j_entries, j_name = _j_source(args.J) if args.J else ([], None)
+    where = f"--J {args.J}: key 'matrix'"
+    g, field = _algebra_and_field(args.algebra, ("--theta", args.theta),
+                                  *((where, x) for x in j_entries))
     theta = parse_form(field, g.dim, args.theta, degree=1)
     space = twisted_closed_space(g, theta)
     report.result("twisted_closed_space", str(space))
     if args.J:
-        J = _resolve_j(args.J, g, field)
+        J = ComplexStructure(g, _flat_square(field, j_entries, g.dim, where), name=j_name)
         space = lck_space(g, J, theta)
         report.result("lck_space", str(space))
     return _emit(report, args)
 
 
-def _j_exprs(jarg):
-    if not jarg or ("." in jarg and "/" not in jarg):
-        return []
-    data = _load_json_file(jarg, "complex structure", ("matrix",))
-    return _strings(data["matrix"], f"--J {jarg}: key 'matrix'")
-
-
-def _resolve_j(jarg, g, field):
+def _j_source(jarg):
+    """Matrix entries and name of `--J`: a catalog ENTRY.NAME or a JSON file."""
     if "." in jarg and "/" not in jarg:
         entry_id, name = jarg.split(".", 1)
-        entries, name = load_builtin().get(entry_id).j_record(name).matrix, jarg
-    else:
-        data = _load_json_file(jarg, "complex structure", ("matrix",))
-        entries, name = data["matrix"], data.get("name", "J")
-    matrix = _flat_square(field, entries, g.dim, f"--J {jarg}: key 'matrix'")
-    return ComplexStructure(g, matrix, name=name)
+        return load_builtin().get(entry_id).j_record(name).matrix, jarg
+    data = _load_json_file(jarg, "complex structure", ("matrix",))
+    return _strings(data["matrix"], f"--J {jarg}: key 'matrix'"), data.get("name", "J")
 
 
 def cmd_vaisman(args):

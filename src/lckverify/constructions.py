@@ -26,16 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    AlphaZero,
-    DNotCompatible,
-    LckError,
-    NotADerivation,
-    NotARepresentation,
-    NotCoKaehler,
-    RhoNotCommuting,
-    RhoNotSkew,
-)
+from .errors import LckError
 from .exterior import KForm, basis_tuples
 from .hermitian import ComplexStructure, is_complex_structure, minus_transpose, nijenhuis
 from .lck import LcKStructure, verify_lck
@@ -84,10 +75,10 @@ def _is_derivation(g, D):
 def extension_by_derivation(base, D):
     """base x|_D R: the new generator e_{n+1} acts by [e_{n+1}, x] = Dx.
 
-    Raises NotADerivation unless the matrix D is a derivation of the base.
+    Raises LckError unless the matrix D is a derivation of the base.
     """
     if not _is_derivation(base, D):
-        raise NotADerivation("matrix is not a derivation of the base")
+        raise LckError("matrix is not a derivation of the base")
     field = base.field
     n = base.dim
     brackets = {key: list(vec) + [field.zero()]
@@ -102,13 +93,13 @@ def extension_by_derivation(base, D):
 def extension_by_representation(base, pi):
     """base |x V on an abelian fiber V, where e_i acts on V by pi[i - 1].
 
-    Raises NotARepresentation unless there is one fiber matrix per base
-    basis vector and pi([x, y]) = [pi(x), pi(y)].
+    Raises LckError unless there is one fiber matrix per base basis
+    vector and pi([x, y]) = [pi(x), pi(y)].
     """
     field = base.field
     n = base.dim
     if len(pi) != n:
-        raise NotARepresentation("need one fiber matrix per base basis vector")
+        raise LckError("need one fiber matrix per base basis vector")
     fiber = len(pi[0])
     e = linalg.identity(field, n)
     for i, j in basis_tuples(n, 2):
@@ -116,7 +107,7 @@ def extension_by_representation(base, pi):
         comm = linalg.mat_sub(linalg.mat_mul(pi[i - 1], pi[j - 1]),
                               linalg.mat_mul(pi[j - 1], pi[i - 1]))
         if not linalg.mat_eq(lhs, comm):
-            raise NotARepresentation(f"pi([e_{i},e_{j}]) != [pi(e_{i}),pi(e_{j})]")
+            raise LckError(f"pi([e_{i},e_{j}]) != [pi(e_{i}),pi(e_{j})]")
 
     brackets = {key: list(vec) + [field.zero()] * fiber
                 for key, vec in base.bracket_table().items()}
@@ -154,22 +145,22 @@ def _check_extension_spec(spec):
     field = g.field
     n2 = spec.fiber_dim
     if n2 % 2 or n2 <= 0:
-        raise NotARepresentation(f"fiber dimension {n2} must be even and positive")
+        raise LckError(f"fiber dimension {n2} must be even and positive")
     if len(spec.rho) != g.dim:
-        raise NotARepresentation("need one rho matrix per base basis vector")
+        raise LckError("need one rho matrix per base basis vector")
     J0 = _fiber_rotation(field, n2)
     for k, m in enumerate(spec.rho):
         if not linalg.mat_eq(linalg.transpose(m), linalg.mat_neg(m)):
-            raise RhoNotSkew(f"rho(e_{k + 1}) is not skew-symmetric")
+            raise LckError(f"rho(e_{k + 1}) is not skew-symmetric")
         if not linalg.mat_eq(linalg.mat_mul(m, J0), linalg.mat_mul(J0, m)):
-            raise RhoNotCommuting(f"rho(e_{k + 1}) does not commute with the fiber rotation")
+            raise LckError(f"rho(e_{k + 1}) does not commute with the fiber rotation")
     # rho must kill the commutator ideal (it takes values in an abelian
     # subalgebra); checked directly on brackets of basis vectors
     e = linalg.identity(field, g.dim)
     for i, j in basis_tuples(g.dim, 2):
         image = _combination(field, g.bracket(e[i - 1], e[j - 1]), spec.rho, n2)
         if not linalg.is_zero_matrix(image):
-            raise NotARepresentation("rho does not vanish on the commutator ideal")
+            raise LckError("rho does not vanish on the commutator ideal")
 
 
 def extension_pi(spec):
@@ -285,7 +276,7 @@ def ot_algebra(n, c, field=None):
     the output; LckError is raised if one fails."""
     field = field or QQ
     if len(c) != n:
-        raise NotARepresentation(f"need {n} rotation speeds, got {len(c)}")
+        raise LckError(f"need {n} rotation speeds, got {len(c)}")
     c = [x if isinstance(x, Scalar) else field.scalar(Fraction(x)) for x in c]
     dim = 2 * n + 2
     half = field.scalar(Fraction(1, 2))
@@ -397,10 +388,10 @@ def reeb_vector(data):
     """The vector R with i_R omega = 0 and eta(R) = 1; equals xi here."""
     omega = fundamental_two_form(data)
     if not omega.interior(data.xi).is_zero():
-        raise NotCoKaehler("cK4", "xi does not contract the cosymplectic form to zero")
+        raise LckError("cK4: xi does not contract the cosymplectic form to zero")
     if data.eta.interior(data.xi) != KForm(data.h.field, data.h.dim, 0,
                                            {(): data.h.field.one()}):
-        raise NotCoKaehler("cK1", "eta(xi) != 1")
+        raise LckError("cK1: eta(xi) != 1")
     return data.xi
 
 
@@ -410,7 +401,7 @@ def _check_cokahler(data):
     dim = h.dim
     eta_xi = data.eta(data.xi)
     if eta_xi != field.one():
-        raise NotCoKaehler("cK1", f"eta(xi) = {eta_xi}")
+        raise LckError(f"cK1: eta(xi) = {eta_xi}")
     # Phi^2 = -id + eta (x) xi
     phi2 = linalg.mat_mul(data.Phi, data.Phi)
     eta_coords = [data.eta.coeffs.get((i,), field.zero()) for i in range(1, dim + 1)]
@@ -418,7 +409,7 @@ def _check_cokahler(data):
         for j in range(dim):
             want = data.xi[i] * eta_coords[j] - (field.one() if i == j else field.zero())
             if phi2[i][j] != want:
-                raise NotCoKaehler("cK2", "Phi^2 != -id + eta (x) xi")
+                raise LckError("cK2: Phi^2 != -id + eta (x) xi")
     # metric compatibility g(Phi x, Phi y) = g(x, y) - eta(x) eta(y)
     Pt = linalg.transpose(data.Phi)
     lhs = linalg.mat_mul(Pt, linalg.mat_mul(data.metric, data.Phi))
@@ -426,14 +417,14 @@ def _check_cokahler(data):
         for j in range(dim):
             want = data.metric[i][j] - eta_coords[i] * eta_coords[j]
             if lhs[i][j] != want:
-                raise NotCoKaehler("cK3", "g(Phi x, Phi y) != g(x,y) - eta(x)eta(y)")
+                raise LckError("cK3: g(Phi x, Phi y) != g(x,y) - eta(x)eta(y)")
     omega = fundamental_two_form(data)
     if not h.ce_d(data.eta).is_zero() or not h.ce_d(omega).is_zero():
-        raise NotCoKaehler("cK4", "eta or the cosymplectic form is not closed")
+        raise LckError("cK4: eta or the cosymplectic form is not closed")
     # normality: Nij_Phi + 2 d(eta) (x) xi = 0, where d(eta) = 0 by cK4
     for i, j in basis_tuples(dim, 2):
         if any(not v.is_zero() for v in nijenhuis(h, data.Phi, i, j)):
-            raise NotCoKaehler("cK5", f"normality fails on (e_{i}, e_{j})")
+            raise LckError(f"cK5: normality fails on (e_{i}, e_{j})")
     return omega
 
 
@@ -442,25 +433,25 @@ def cokahler_mapping_torus(data):
     J(X, a) = (Phi X - a xi, eta(X)).
 
     All five coKaehler axioms, the derivation law and the D-compatibility
-    hypotheses are checked with named errors, in that order, before the
-    structure is built; integrability and the lcK identities of the output
+    hypotheses are checked in that order, with a message naming the failed
+    one, before the structure is built; integrability and the lcK identities of the output
     are then verified, not assumed, and LckError is raised if one fails.
     """
     field = data.h.field
     alpha = data.alpha if isinstance(data.alpha, Scalar) else field.scalar(Fraction(data.alpha))
     if alpha.is_zero():
-        raise AlphaZero("the derivation must rescale the cosymplectic form")
+        raise LckError("the derivation must rescale the cosymplectic form")
     omega = _check_cokahler(data)
     g = extension_by_derivation(data.h, data.D)
     if _derivative_two_form(omega, data.D) != omega * alpha:
-        raise DNotCompatible("D omega != alpha omega")
+        raise LckError("D omega != alpha omega")
     if not _pullback_one_form(data.eta, data.D).is_zero():
-        raise DNotCompatible("D eta != 0")
+        raise LckError("D eta != 0")
     if any(not x.is_zero() for x in linalg.mat_vec(data.D, data.xi)):
-        raise DNotCompatible("D xi != 0")
+        raise LckError("D xi != 0")
     if not linalg.mat_eq(linalg.mat_mul(data.D, data.Phi),
                          linalg.mat_mul(data.Phi, data.D)):
-        raise DNotCompatible("D Phi != Phi D")
+        raise LckError("D Phi != Phi D")
 
     dim = g.dim
     new = dim  # index of the new generator

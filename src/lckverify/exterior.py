@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegreeZero, DimensionMismatch, IndexOutOfRange, ParseError
+from .errors import LckError, ParseError
 from .scalars import QQ, Scalar, parse_expression
 
 
@@ -54,9 +54,9 @@ class KForm:
         for idx, c in (coeffs or {}).items():
             idx = tuple(idx)
             if len(idx) != degree or any(not 1 <= i <= dim for i in idx):
-                raise IndexOutOfRange(f"bad index tuple {idx} for degree {degree}, dim {dim}")
+                raise LckError(f"bad index tuple {idx} for degree {degree}, dim {dim}")
             if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise IndexOutOfRange(f"index tuple {idx} is not strictly increasing")
+                raise LckError(f"index tuple {idx} is not strictly increasing")
             if not c.is_zero():
                 clean[idx] = c
         self.coeffs = clean
@@ -87,7 +87,7 @@ class KForm:
 
     def _check_compatible(self, other):
         if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+            raise LckError(f"forms of dimension {self.dim} and {other.dim} do not combine")
 
     # -- linear structure -----------------------------------------------------
 
@@ -98,7 +98,7 @@ class KForm:
                 return other
             if other.is_zero():
                 return self
-            raise DimensionMismatch(f"degree {self.degree} vs {other.degree}")
+            raise LckError(f"cannot add forms of degree {self.degree} and {other.degree}")
         coeffs = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             s = coeffs.get(idx)
@@ -153,9 +153,10 @@ class KForm:
     def interior(self, vector):
         """Interior product with a coordinate vector (length = dim)."""
         if self.degree == 0:
-            raise DegreeZero("cannot contract a 0-form")
+            raise LckError("cannot contract a 0-form")
         if len(vector) != self.dim:
-            raise DimensionMismatch(f"vector length {len(vector)} vs dim {self.dim}")
+            raise LckError(f"cannot contract a {self.dim}-dimensional form "
+                           f"with a vector of length {len(vector)}")
         out = KForm.zero(self.field, self.dim, self.degree - 1)
         for idx, c in self.coeffs.items():
             for pos, i in enumerate(idx):
@@ -174,7 +175,7 @@ class KForm:
     def __call__(self, *vectors):
         """Evaluate on degree-many coordinate vectors; returns a Scalar."""
         if len(vectors) != self.degree:
-            raise DimensionMismatch(f"{self.degree}-form applied to {len(vectors)} vectors")
+            raise LckError(f"{self.degree}-form applied to {len(vectors)} vectors")
         form = self
         for v in vectors:
             if form.degree == 0:
@@ -234,6 +235,15 @@ def interior_product(vector, a):
     return a.interior(vector)
 
 
+def linear_map_matrix(field, dim, degree, operator, target_degree):
+    """Matrix of a linear map Lambda^degree -> Lambda^target_degree given on
+    forms: column j is the image of the j-th basis form, rows follow
+    `basis_tuples(dim, target_degree)`."""
+    images = [operator(KForm.basis(field, dim, idx)) for idx in basis_tuples(dim, degree)]
+    return [[img.coeffs.get(t, field.zero()) for img in images]
+            for t in basis_tuples(dim, target_degree)]
+
+
 def basis_tuples(dim, degree):
     """All strictly increasing index tuples, in lexicographic order."""
     out = []
@@ -275,7 +285,7 @@ def _is_form_atom(name, dim):
         return None
     indices = tuple(int(d) for d in name[1:])
     if any(not 1 <= i <= dim for i in indices):
-        raise IndexOutOfRange(f"index out of range in {name!r} (dim {dim})")
+        raise ParseError(f"index out of range in {name!r} (dim {dim})")
     if any(indices[t] >= indices[t + 1] for t in range(len(indices) - 1)):
         raise ParseError(f"indices must be strictly increasing in {name!r}")
     return indices
@@ -304,7 +314,7 @@ def _form_from_ast(node, field, dim):
             raise ParseError("cannot add a scalar and a form")
         try:
             return k1, (v1 + v2 if op == "add" else v1 - v2)
-        except DimensionMismatch as exc:
+        except LckError as exc:
             raise ParseError(f"mixed degrees in a form expression: {exc}") from None
     if op == "mul":
         k1, v1 = _form_from_ast(node[1], field, dim)

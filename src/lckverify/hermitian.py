@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .errors import NotAlmostComplex, NotInvariant, SingularMatrix
+from .errors import LckError
 from .exterior import KForm, basis_tuples
 from .scalars import QQ
 
@@ -34,10 +34,10 @@ class ComplexStructure:
 
     @cached_property
     def P(self):
-        """The operator on vectors, P = -M^T; NotAlmostComplex unless M^2 = -Id."""
+        """The operator on vectors, P = -M^T; LckError unless M^2 = -Id."""
         minus_id = linalg.mat_neg(linalg.identity(self.field, len(self.dual)))
         if not linalg.mat_eq(linalg.mat_mul(self.dual, self.dual), minus_id):
-            raise NotAlmostComplex(f"{self.name}: dual matrix does not square to -Id")
+            raise LckError(f"{self.name}: dual matrix does not square to -Id")
         return minus_transpose(self.dual)
 
     def instantiate(self, assignment):
@@ -63,9 +63,8 @@ def dual_to_primal(J):
 
 def nijenhuis(g, P, i, j):
     """Nij(e_i, e_j) = -[x,y] + [Px,Py] - P[Px,y] - P[x,Py] as coordinates."""
-    field = g.field
-    ei = [field.one() if t == i - 1 else field.zero() for t in range(g.dim)]
-    ej = [field.one() if t == j - 1 else field.zero() for t in range(g.dim)]
+    e = linalg.identity(g.field, g.dim)
+    ei, ej = e[i - 1], e[j - 1]
     pi = [P[t][i - 1] for t in range(g.dim)]
     pj = [P[t][j - 1] for t in range(g.dim)]
     term1 = g.bracket(ei, ej)
@@ -79,7 +78,7 @@ def is_complex_structure(g, J):
     """M^2 = -Id and vanishing Nijenhuis tensor, as parameter identities."""
     try:
         P = J.P
-    except NotAlmostComplex:
+    except LckError:
         return False
     return all(c.is_zero() for i, j in basis_tuples(g.dim, 2)
                for c in nijenhuis(g, P, i, j))
@@ -109,14 +108,14 @@ def coframe_substitution(matrix, form):
 def pullback_form(matrix, form):
     """Pullback of a form along an automorphism (dual-matrix action)."""
     if linalg.det(matrix).is_zero():
-        raise SingularMatrix("pullback along a singular matrix")
+        raise LckError("pullback along a singular matrix")
     return coframe_substitution(matrix, form)
 
 
 def is_automorphism(g, matrix):
     """Pullback commutes with the differential on the coframe."""
     if linalg.det(matrix).is_zero():
-        raise SingularMatrix("candidate automorphism is singular")
+        raise LckError("candidate automorphism is singular")
     for k in range(1, g.dim + 1):
         ek = KForm.basis(g.field, g.dim, (k,))
         lhs = coframe_substitution(matrix, g.ce_d(ek))
@@ -140,14 +139,14 @@ def is_j_invariant(omega, J):
 
 
 def gram_metric(omega, J):
-    """G[i][j] = Omega(e_i, P e_j); raises NotInvariant when not symmetric."""
+    """G[i][j] = Omega(e_i, P e_j); raises LckError when not symmetric."""
     g = J.algebra
     columns = linalg.transpose(dual_to_primal(J))  # the vectors P e_j
     G = [[omega(ei, pj) for pj in columns] for ei in linalg.identity(g.field, g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             if G[i][j] != G[j][i]:
-                raise NotInvariant(
+                raise LckError(
                     f"gram matrix asymmetric at ({i + 1},{j + 1}): "
                     f"{G[i][j]} vs {G[j][i]}")
     return G

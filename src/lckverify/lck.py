@@ -16,15 +16,8 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from . import linalg
-from .errors import (
-    Degenerate,
-    Inconsistent,
-    LckError,
-    NotClosed,
-    NoWitness,
-    ThetaZero,
-)
-from .exterior import KForm, basis_tuples
+from .errors import LckError
+from .exterior import KForm, basis_tuples, linear_map_matrix
 from .hermitian import gram_metric, is_j_invariant, matrix_at, sylvester_positive
 from .scalars import QQ
 
@@ -95,7 +88,7 @@ class LckReport:
 def verify_lck(s):
     """Run the four lcK checks; identities symbolic, positivity at witnesses."""
     if not s.witnesses:
-        raise NoWitness(f"{s.name or 'structure'} has no witnesses")
+        raise LckError(f"{s.name or 'structure'} has no witnesses")
     checks = []
 
     d_theta = s.algebra.ce_d(s.theta)
@@ -120,34 +113,24 @@ def verify_lck(s):
     return LckReport(s.name, checks)
 
 
-_LAMBDA3 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-
-
 def lee_form(g, omega):
     """The unique theta with d(omega) = theta ^ omega, in dimension 4.
 
     Returns (theta, closed) where `closed` reports whether d(theta) = 0.
-    Raises Degenerate when omega ^ omega = 0 and Inconsistent when
-    d(omega) is not a multiple of omega (omega is not lcs).
+    Raises LckError unless g has dimension 4 and omega ^ omega != 0.  For
+    such an omega, theta -> theta ^ omega maps Lambda^1 onto Lambda^3
+    one-to-one, so theta always exists; omega is lcs exactly when it is
+    closed.
     """
     if g.dim != 4:
-        raise Degenerate("lee_form is specific to dimension 4")
+        raise LckError("lee_form is specific to dimension 4")
     if omega.wedge(omega).is_zero():
-        raise Degenerate("omega ^ omega = 0")
+        raise LckError("omega ^ omega = 0")
     field = g.field
-    # columns: e^i ^ omega expanded in the Lambda^3 basis
-    cols = []
-    for i in range(1, 5):
-        ei = KForm.basis(field, 4, (i,))
-        w = ei.wedge(omega)
-        cols.append([w.coeffs.get(t, field.zero()) for t in _LAMBDA3])
-    matrix = [[cols[j][r] for j in range(4)] for r in range(4)]
+    matrix = linear_map_matrix(field, 4, 1, lambda b: b.wedge(omega), 3)
     d_omega = g.ce_d(omega)
-    rhs = [d_omega.coeffs.get(t, field.zero()) for t in _LAMBDA3]
-    try:
-        coords = linalg.solve(matrix, rhs)
-    except Inconsistent:
-        raise Inconsistent("d(omega) is not in the image of omega ^ _") from None
+    rhs = [d_omega.coeffs.get(t, field.zero()) for t in basis_tuples(4, 3)]
+    coords = linalg.solve(matrix, rhs)
     theta = KForm(field, 4, 1, {(i + 1,): coords[i] for i in range(4)})
     closed = g.ce_d(theta).is_zero()
     return theta, closed
@@ -161,7 +144,7 @@ def vaisman_vector(s, assignment):
     Gq = matrix_at(s.metric, assignment)
     theta_coords = [theta.coeffs.get((i,), QQ.zero()) for i in range(1, n + 1)]
     if all(c.is_zero() for c in theta_coords):
-        raise ThetaZero("theta vanishes at the witness")
+        raise LckError("theta vanishes at the witness")
     kernel, _ = linalg.nullspace([theta_coords], n)
     rows = [theta_coords]
     for k in kernel:
@@ -196,7 +179,7 @@ def morse_novikov_betti(g, theta, assignment=None):
     gq = g.instantiate(assignment)
     theta_q = theta.instantiate(assignment) if theta.field.nvars else theta
     if not gq.ce_d(theta_q).is_zero():
-        raise NotClosed("theta is not closed at the assignment")
+        raise LckError("theta is not closed at the assignment")
 
     n = gq.dim
     bases = [basis_tuples(n, k) for k in range(n + 1)]
@@ -204,14 +187,7 @@ def morse_novikov_betti(g, theta, assignment=None):
     def d_theta(form):
         return gq.ce_d(form) - theta_q.wedge(form)
 
-    matrices = []
-    for k in range(n):
-        cols = []
-        for idx in bases[k]:
-            image = d_theta(KForm.basis(QQ, n, idx))
-            cols.append([image.coeffs.get(t, QQ.zero()) for t in bases[k + 1]])
-        matrices.append([[cols[j][r] for j in range(len(bases[k]))]
-                         for r in range(len(bases[k + 1]))])
+    matrices = [linear_map_matrix(QQ, n, k, d_theta, k + 1) for k in range(n)]
 
     for k in range(n - 1):
         if not linalg.is_zero_matrix(linalg.mat_mul(matrices[k + 1], matrices[k])):

@@ -14,12 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    ParametersNotInstantiated,
-    ParseError,
-)
+from .errors import LckError, ParseError
 from .exterior import KForm, basis_tuples
 from .scalars import QQ, Scalar
 
@@ -33,9 +28,9 @@ class LieAlgebra:
         self.name = name
         for k, form in enumerate(d_coframe):
             if form.degree != 2 and not form.is_zero():
-                raise DimensionMismatch(f"de^{k + 1} must be a 2-form")
+                raise LckError(f"de^{k + 1} must be a 2-form")
             if form.dim != self.dim:
-                raise DimensionMismatch(f"de^{k + 1} lives in dim {form.dim}")
+                raise LckError(f"de^{k + 1} lives in dim {form.dim}")
         self.d_coframe = list(d_coframe)
         self._brackets = None
         self._d_cache = {}
@@ -119,7 +114,7 @@ class LieAlgebra:
     def ce_d(self, form):
         """Extend d from the coframe as an antiderivation."""
         if form.dim != self.dim:
-            raise DimensionMismatch(f"form dim {form.dim} vs algebra dim {self.dim}")
+            raise LckError(f"a form in dim {form.dim} on an algebra of dim {self.dim}")
         if form.degree == 0:
             return KForm.zero(self.field, self.dim, 1)
         out = KForm.zero(self.field, self.dim, min(form.degree + 1, self.dim))
@@ -135,12 +130,8 @@ class LieAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of ad_x = [x, .] acting on coordinate vectors."""
-        cols = []
-        for j in range(1, self.dim + 1):
-            basis_j = [self.field.one() if t == j - 1 else self.field.zero()
-                       for t in range(self.dim)]
-            cols.append(self.bracket(x, basis_j))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        cols = [self.bracket(x, ej) for ej in linalg.identity(self.field, self.dim)]
+        return linalg.transpose(cols)
 
     def unimodular_character(self, x):
         """chi(x) = tr(ad_x); the algebra is unimodular iff this vanishes."""
@@ -154,8 +145,8 @@ class LieAlgebra:
         special parameter values.
         """
         if self.field.nvars and assignment is None:
-            raise ParametersNotInstantiated(
-                f"{self.name or 'algebra'} has parameters {self.field.vars}")
+            raise LckError(f"center of {self.name or 'algebra'} needs values for "
+                           f"its parameters {self.field.vars}")
         g = self.instantiate(assignment or {})
         rows = []
         table = g.bracket_table()
@@ -230,7 +221,7 @@ def _parse_salamon_entry(entry, field, dim):
                 and (pos + 1 >= len(tokens) or tokens[pos + 1] != ("op", "*"))):
             i, j = int(value[0]), int(value[1])
             if not (1 <= i <= dim and 1 <= j <= dim):
-                raise IndexOutOfRange(f"index atom {value!r} out of range for dim {dim}")
+                raise ParseError(f"index atom {value!r} out of range for dim {dim}")
             if i >= j:
                 raise ParseError(f"index atom {value!r} must have i < j")
             converted.append(("name", f"e{value}"))

@@ -9,7 +9,7 @@ numerators do not vanish.
 
 from __future__ import annotations
 
-from .errors import Inconsistent, SingularMatrix
+from .errors import LckError
 
 
 def identity(field, n):
@@ -129,17 +129,17 @@ def rank(rows, ncols):
 def solve(a, b):
     """Unique solution of a*x = b.
 
-    Raises SingularMatrix when the matrix does not have full column rank and
-    Inconsistent when the system has no solution.
+    Raises LckError when the system has no solution or the matrix does not
+    have full column rank.
     """
     n, m = len(a), len(a[0])
     aug = [list(row) + [b[i]] for i, row in enumerate(a)]
     red, pivots, _ = rref(aug, m)
     for row in red[len(pivots):]:
         if not row[m].is_zero():
-            raise Inconsistent("system has no solution")
+            raise LckError("system has no solution")
     if len(pivots) < m:
-        raise SingularMatrix("system is underdetermined")
+        raise LckError("system is underdetermined")
     x = [None] * m
     for r, pc in enumerate(pivots):
         x[pc] = red[r][m]
@@ -179,7 +179,7 @@ def inverse(a):
     aug = [list(row) + identity(field, n)[i] for i, row in enumerate(a)]
     red, pivots, _ = rref(aug, n)
     if len(pivots) < n:
-        raise SingularMatrix("matrix is not invertible")
+        raise LckError("matrix is not invertible")
     return [row[n:] for row in red[:n]]
 
 

@@ -27,12 +27,7 @@ import operator
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 
-from .errors import (
-    DenominatorVanishes,
-    IrrationalRadical,
-    MissingParameter,
-    ParseError,
-)
+from .errors import LckError, ParseError
 
 
 def _grlex_key(exps):
@@ -470,11 +465,11 @@ class Scalar:
                 values.append(Fraction(assignment[name]))
             else:
                 if any(e[i] for e in self.num.terms) or any(e[i] for e in self.den.terms):
-                    raise MissingParameter(name)
+                    raise LckError(f"missing parameter {name!r}")
                 values.append(Fraction(0))
         den = self.den.eval(values)
         if den == 0:
-            raise DenominatorVanishes(str(self))
+            raise LckError(f"denominator of {self} vanishes at the point")
         return self.num.eval(values) / den
 
     def subs(self, assignment):
@@ -482,7 +477,7 @@ class Scalar:
         num = _subs_poly(self.num, assignment)
         den = _subs_poly(self.den, assignment)
         if den.is_zero():
-            raise DenominatorVanishes(str(self))
+            raise LckError(f"denominator of {self} vanishes under the substitution")
         return Scalar(self.field, num, den)
 
     def __str__(self):
@@ -533,7 +528,7 @@ class ScalarField:
         try:
             return self._index[name]
         except KeyError:
-            raise MissingParameter(name) from None
+            raise LckError(f"unknown parameter {name!r}") from None
 
     def one(self):
         return self._one
@@ -704,7 +699,7 @@ def _fold(node, leaf):
     if op == "div":
         d = _fold(node[2], leaf)
         if not d:
-            raise DenominatorVanishes("division by zero in expression")
+            raise LckError("division by zero in expression")
         return _fold(node[1], leaf) / d
     if op in _ARITHMETIC:
         return _ARITHMETIC[op](_fold(node[1], leaf), _fold(node[2], leaf))
@@ -723,19 +718,19 @@ def ast_to_scalar(node, field):
 
 
 def sqrt_fraction(value):
-    """Exact square root of a Fraction; IrrationalRadical when not rational."""
+    """Exact square root of a Fraction; LckError when not rational."""
     value = Fraction(value)
     if value < 0:
-        raise IrrationalRadical(f"sqrt of negative value {value}")
+        raise LckError(f"sqrt of negative value {value}")
     rn, rd = isqrt(value.numerator), isqrt(value.denominator)
     if rn * rn != value.numerator or rd * rd != value.denominator:
-        raise IrrationalRadical(f"sqrt({value}) is irrational")
+        raise LckError(f"sqrt({value}) is irrational")
     return Fraction(rn, rd)
 
 
 def eval_expression(text, assignment):
     """Evaluate an expression at a rational point.  Unlike Scalar.eval this
-    accepts sqrt(...), failing with IrrationalRadical unless the radicand is a
+    accepts sqrt(...), failing with LckError unless the radicand is a
     perfect square of a rational."""
     def leaf(node):
         if node[0] == "num":
@@ -744,7 +739,7 @@ def eval_expression(text, assignment):
             try:
                 return Fraction(assignment[node[1]])
             except KeyError:
-                raise MissingParameter(node[1]) from None
+                raise LckError(f"no value for parameter {node[1]!r}") from None
         if node[1] != "sqrt":
             raise ParseError(f"unknown function {node[1]!r}")
         return sqrt_fraction(_fold(node[2], leaf))

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from . import linalg
-from .errors import IndexOutOfRange, ThetaNotClosed
-from .exterior import KForm, basis_tuples
+from .errors import LckError
+from .exterior import KForm, basis_tuples, linear_map_matrix
 from .hermitian import coframe_substitution, dual_to_primal, is_j_invariant
 from .scalars import Scalar
 
@@ -51,29 +51,21 @@ def _dedupe_side_conditions(side):
     return seen
 
 
-def _condition_rows(g, columns, operator, target_degree):
-    """Rows of the matrix of a linear map Lambda^2 -> Lambda^k on `columns`."""
-    target = basis_tuples(g.dim, target_degree)
-    images = [operator(KForm.basis(g.field, g.dim, idx)) for idx in columns]
-    return [[img.coeffs.get(t, g.field.zero()) for img in images] for t in target]
-
-
 def _condition_matrix(g, theta, J=None):
     """Columns and rows of the conditions on Omega in Lambda^2: the rows of
     d(Omega) - theta ^ Omega, then those of P^T Omega - Omega if J is given."""
-    columns = basis_tuples(g.dim, 2)
-    rows = _condition_rows(g, columns,
-                           lambda b: g.ce_d(b) - theta.wedge(b), 3)
+    rows = linear_map_matrix(g.field, g.dim, 2,
+                             lambda b: g.ce_d(b) - theta.wedge(b), 3)
     if J is not None:
         Pt = linalg.transpose(dual_to_primal(J))
-        rows += _condition_rows(g, columns,
-                                lambda b: coframe_substitution(Pt, b) - b, 2)
-    return columns, rows
+        rows += linear_map_matrix(g.field, g.dim, 2,
+                                  lambda b: coframe_substitution(Pt, b) - b, 2)
+    return basis_tuples(g.dim, 2), rows
 
 
 def _solution_space(g, theta, J=None):
     if not g.ce_d(theta).is_zero():
-        raise ThetaNotClosed(str(theta))
+        raise LckError(f"twisted differential needs a closed theta, got {theta}")
     columns, rows = _condition_matrix(g, theta, J)
     vectors, side = linalg.nullspace(rows, len(columns))
     basis = [KForm(g.field, g.dim, 2,
@@ -100,10 +92,9 @@ def _diagonal_functional(space, J, v):
     """Values of Omega -> Omega(e_v, P e_v) on the basis of the space."""
     g = J.algebra
     if not 1 <= v <= g.dim:
-        raise IndexOutOfRange(f"vector index {v} out of range for dim {g.dim}")
+        raise LckError(f"vector index {v} is not in 1..{g.dim}")
     P = dual_to_primal(J)
-    field = g.field
-    ev = [field.one() if t == v - 1 else field.zero() for t in range(g.dim)]
+    ev = linalg.identity(g.field, g.dim)[v - 1]
     pv = [P[t][v - 1] for t in range(g.dim)]
     return [b(ev, pv) for b in space.basis]
 

@@ -134,16 +134,30 @@ def test_complex_structure_is_built_once_per_parameter_list(catalog):
     assert entry.complex_structure(name) is not J
 
 
+def test_family_structure_is_built_once_per_parameter_list(catalog):
+    entry = catalog.get("gl2")
+    fam = entry.lck_families[0]
+    s = entry.family_structure(fam)
+    assert entry.family_structure(fam) is s
+    assert s.J is entry.complex_structure(fam.J, fam.params)
+    assert entry.family_structure(fam, ["x"]) is not s
+
+
 def test_verify_catalog_drops_the_entry_cache():
     """What an entry builds lives only until its records are done, so a
-    full run holds one entry's objects at a time."""
+    full run holds one entry's objects at a time.  The family structures
+    that loading validated are the ones verified."""
     cat = load_builtin()
     entry = cat.get("rh3")
-    ref = weakref.ref(entry.algebra())
-    assert ref() is entry.algebra()
+    built = [entry.algebra()] + [entry.family_structure(f) for f in entry.lck_families]
+    refs = [weakref.ref(x) for x in built]
+    del built
+    again = [entry.algebra()] + [entry.family_structure(f) for f in entry.lck_families]
+    assert all(r() is x for r, x in zip(refs, again))
+    del again
     records = verify_catalog(cat, ["rh3"])
     gc.collect()
-    assert records and ref() is None
+    assert records and [r() for r in refs] == [None] * len(refs)
 
 
 def test_full_catalog_passes(catalog):

@@ -119,6 +119,19 @@ def test_solve_with_catalog_j(capsys):
     assert "dim 3" in out and "dim 1" in out
 
 
+def test_solve_with_parametric_catalog_j(capsys):
+    # the parameters a, b of r2p.J2ab join the field of the algebra
+    assert run(["solve", "--algebra", "0,0,-13+24,-14-23", "--theta", "e1",
+                "--J", "r2p.J2ab"]) == 0
+    out = capsys.readouterr().out
+    assert "lck_space  dim 1: e12  [needs a, 4*a^2 + b^2 + 4*b + 4 != 0]" in out
+
+
+def test_math_failure_exits_1_with_its_message(capsys):
+    assert run(["lee", "--algebra", "0,0,-12,0", "--omega", "e12"]) == 1
+    assert capsys.readouterr().err == "error: LckError: omega ^ omega = 0\n"
+
+
 def test_ot_subcommand(capsys):
     assert run(["ot", "--n", "2", "--c", "1,2"]) == 0
     out = capsys.readouterr().out

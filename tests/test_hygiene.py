@@ -4,6 +4,9 @@
   as used.
 - No `assert` statement does the package's own checking, since
   `python -O` strips them.
+- Every exception class but `LckError` is caught somewhere in the
+  package; a failure that no caller tells apart is an `LckError` whose
+  message names it.
 """
 
 import ast
@@ -49,6 +52,29 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(_tree(path)) == []
+
+
+def caught_names(tree):
+    """Names of the classes listed in the package's `except` clauses."""
+    names = set()
+    for handler in ast.walk(tree):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            names |= {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_the_check_sees_a_caught_class():
+    tree = ast.parse("try:\n    pass\nexcept (KeyError, ValueError) as e:\n    pass\n"
+                     "except OSError:\n    raise\nfinally:\n    pass\n")
+    assert caught_names(tree) == {"KeyError", "ValueError", "OSError"}
+
+
+def test_every_exception_class_but_the_base_is_caught():
+    errors = next(p for p in SOURCES if p.name == "errors.py")
+    classes = {n.name for n in _tree(errors).body if isinstance(n, ast.ClassDef)}
+    caught = set().union(*(caught_names(_tree(p)) for p in SOURCES))
+    assert "LckError" in classes
+    assert sorted(classes - caught - {"LckError"}) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from lckverify.errors import ParametersNotInstantiated, ParseError
+from lckverify.errors import LckError, ParseError
 from lckverify.exterior import KForm, basis_tuples, parse_form
 from lckverify.liealg import LieAlgebra, parse_salamon
 from lckverify.scalars import QQ, ScalarField
@@ -72,7 +72,7 @@ def test_parse_salamon_examples():
 def test_parse_salamon_errors():
     with pytest.raises(ParseError):
         parse_salamon("0,0,-21,0")  # atom must have i < j
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError, match="index atom '15' out of range for dim 4"):
         parse_salamon("0,0,-15,0")  # index out of range
     with pytest.raises(ParseError):
         parse_salamon("0,0,12+,0")
@@ -172,7 +172,7 @@ def test_center_examples():
 def test_center_requires_instantiation():
     F = ScalarField(("l",))
     g = parse_salamon("l*14,(1-l)*24,-12+34,0", field=F)
-    with pytest.raises(ParametersNotInstantiated):
+    with pytest.raises(LckError, match="needs values for its parameters"):
         g.center()
     assert g.center({"l": Fraction(3, 4)}) == []
 

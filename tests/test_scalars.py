@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lckverify.errors import DenominatorVanishes, MissingParameter, ParseError
+from lckverify.errors import LckError, ParseError
 from lckverify.scalars import (
     QQ,
     Polynomial,
@@ -54,14 +54,14 @@ def test_eval_examples():
 
 
 def test_eval_errors():
-    with pytest.raises(DenominatorVanishes):
+    with pytest.raises(LckError, match="vanishes at the point"):
         F.parse("1/b").eval({"b": 0})
-    with pytest.raises(MissingParameter):
+    with pytest.raises(LckError, match="missing parameter 'b'"):
         F.parse("a+b").eval({"a": 1})
     # a zero divisor in the text itself, in both evaluators
-    with pytest.raises(DenominatorVanishes):
+    with pytest.raises(LckError, match="division by zero in expression"):
         eval_expression("1/(t4-t4)", {"t4": Fraction(1)})
-    with pytest.raises(DenominatorVanishes):
+    with pytest.raises(LckError, match="division by zero in expression"):
         F.parse("a/(b-b)")
 
 
@@ -91,7 +91,9 @@ def test_eval_is_ring_homomorphism():
             vx, vy = x.eval(point), y.eval(point)
             vxy = (x * y).eval(point)
             vsum = (x + y).eval(point)
-        except DenominatorVanishes:
+        except LckError as exc:  # a pole of x or y
+            if "vanishes at the point" not in str(exc):
+                raise
             continue
         assert vxy == vx * vy
         assert vsum == vx + vy
@@ -162,10 +164,9 @@ def test_parse_errors():
 def test_sqrt_evaluation():
     assert eval_expression("sqrt(-1/t4)", {"t4": Fraction(-4)}) == Fraction(1, 2)
     assert sqrt_fraction(Fraction(9, 16)) == Fraction(3, 4)
-    from lckverify.errors import IrrationalRadical
-    with pytest.raises(IrrationalRadical):
+    with pytest.raises(LckError, match="is irrational"):
         sqrt_fraction(Fraction(2))
-    with pytest.raises(IrrationalRadical):
+    with pytest.raises(LckError, match="sqrt of negative value"):
         eval_expression("sqrt(t4)", {"t4": Fraction(-1)})
 
 

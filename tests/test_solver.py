@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lckverify.errors import IndexOutOfRange, ThetaNotClosed
+from lckverify.errors import LckError
 from lckverify.exterior import KForm, parse_form
 from lckverify.hermitian import ComplexStructure
 from lckverify.liealg import LieAlgebra, parse_salamon
@@ -61,7 +61,7 @@ def test_twisted_space_rr31():
 
 def test_theta_not_closed():
     g = parse_salamon("0,0,-12,0")
-    with pytest.raises(ThetaNotClosed):
+    with pytest.raises(LckError, match="needs a closed theta"):
         twisted_closed_space(g, parse_form(QQ, 4, "e3"))
 
 
@@ -109,7 +109,7 @@ def test_degeneracy_certificate_examples():
     g, Jr, theta = rh3_setup()
     space = lck_space(g, Jr, theta)
     assert not degeneracy_certificate(space, Jr, 3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LckError, match=r"vector index 5 is not in 1\.\.4"):
         degeneracy_certificate(space, Jr, 5)
 
 
