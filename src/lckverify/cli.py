@@ -34,7 +34,7 @@ from .constructions import (
     ot_algebra,
     unimodularity_check,
 )
-from .errors import LckError, UsageError
+from .errors import LckError, SchemaError, UsageError
 from .exterior import parse_form
 from .hermitian import ComplexStructure
 from .lck import LcKStructure, lee_form, morse_novikov_betti, vaisman_test
@@ -180,6 +180,15 @@ def _read(parse, value, where):
         raise UsageError(f"{where}: cannot read {value!r}: {exc}") from None
 
 
+def _lookup(find, key, where):
+    """`find(key)` on the catalog, with an unknown key reported as a usage
+    error at `where`."""
+    try:
+        return find(key)
+    except SchemaError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
 def _strings(value, where):
     """A JSON list of strings, or a usage error at `where`."""
     if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
@@ -215,6 +224,8 @@ def cmd_verify_table(args):
             raise UsageError(f"--catalog: cannot read {args.catalog}: {exc}") from None
     else:
         catalog = load_builtin()
+    if args.entry:
+        _lookup(catalog.get, args.entry, "--entry")
     ids = [args.entry] if args.entry else None
     report = Report(command=["verify-table"] + (["--entry", args.entry] if args.entry else []))
     for check in verify_catalog(catalog, entry_ids=ids):
@@ -242,14 +253,14 @@ def _j_source(jarg):
     """Matrix entries and name of `--J`: a catalog ENTRY.NAME or a JSON file."""
     if "." in jarg and "/" not in jarg:
         entry_id, name = jarg.split(".", 1)
-        return load_builtin().get(entry_id).j_record(name).matrix, jarg
+        entry = _lookup(load_builtin().get, entry_id, f"--J {jarg}")
+        return _lookup(entry.j_record, name, f"--J {jarg}").matrix, jarg
     data = _load_json_file(jarg, "complex structure", ("matrix",))
     return _strings(data["matrix"], f"--J {jarg}: key 'matrix'"), data.get("name", "J")
 
 
 def cmd_vaisman(args):
-    catalog = load_builtin()
-    entry = catalog.get(args.entry)
+    entry = _lookup(load_builtin().get, args.entry, "--entry")
     report = Report(command=["vaisman", args.entry])
     families = [f for f in entry.lck_families
                 if args.family in ("", f.name)]
@@ -324,7 +335,7 @@ def _bind_structure(s, bind):
 def cmd_extend(args):
     data = _load_json_file(args.spec, "extension spec",
                            ("entry", "family", "fiber_dim", "rho"))
-    entry = load_builtin().get(data["entry"])
+    entry = _lookup(load_builtin().get, data["entry"], f"{args.spec}: key 'entry'")
     fam = next((f for f in entry.lck_families if f.name == data["family"]), None)
     if fam is None:
         raise UsageError(f"{args.spec}: key 'family': entry {entry.id} has no "

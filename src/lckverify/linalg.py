@@ -104,8 +104,7 @@ def nullspace(rows, ncols):
     The basis vector for free column j has entry 1 at position j.
     """
     if not rows:
-        field = None
-        raise ValueError("nullspace needs at least one row to infer the field")
+        raise LckError("nullspace needs at least one row to infer the field")
     field = rows[0][0].field
     red, pivots, side = rref(rows, ncols)
     free = [j for j in range(ncols) if j not in pivots]
@@ -147,7 +146,8 @@ def solve(a, b):
 
 
 def det(a):
-    """Determinant by fraction-free-ish elimination over the field."""
+    """Determinant by Gaussian elimination over the field: the product of
+    the pivots, negated once per row swap."""
     n = len(a)
     field = a[0][0].field
     rows = [list(r) for r in a]

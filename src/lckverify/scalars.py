@@ -16,9 +16,19 @@ printing and leading terms).  Scalars are normalized so that
   * the leading coefficient of the denominator is positive,
 
 which makes equality a comparison of representations.  Since every
-Scalar is already in normal form, addition, subtraction and
-multiplication with a zero operand return that normal form without
-any polynomial arithmetic.
+Scalar is already in normal form, two fast paths skip the normalisation
+and give the same representation:
+
+  * addition, subtraction and multiplication with a zero operand return
+    that normal form without any polynomial arithmetic;
+  * a normalised Scalar with a constant denominator has denominator
+    exactly 1, so it is a polynomial.  When both operands are, the sum,
+    difference and product are the polynomial sum, difference and
+    product, already in normal form; when both are constants (every
+    Scalar over QQ is one), +, -, * and / are one Fraction operation.
+
+Every other case goes through the normalising constructor, and a result
+always lives in the left operand's field.
 """
 
 from __future__ import annotations
@@ -337,7 +347,7 @@ class Scalar:
             raise ZeroDivisionError("scalar with zero denominator")
         if num.is_zero():
             self.num = num
-            self.den = Polynomial.constant(field, 1)
+            self.den = field._unit
             return
         if not den.is_constant():
             g = poly_gcd(num, den)
@@ -364,6 +374,25 @@ class Scalar:
             return self.field.scalar(other)
         return NotImplemented
 
+    def _polynomial_op(self, other, op):
+        """`self op other` when both denominators are 1, else None.
+
+        On two constants this is one Fraction operation.  Otherwise, for
+        +, - and *, the polynomial result is already in normal form over
+        the denominator 1; a polynomial quotient needs the constructor.
+        """
+        origin = self.field._origin
+        d1, d2 = self.den.terms, other.den.terms
+        if len(d1) != 1 or len(d2) != 1 or origin not in d1 or origin not in d2:
+            return None
+        n1, n2 = self.num.terms, other.num.terms
+        if len(n1) == 1 and len(n2) == 1 and origin in n1 and origin in n2:
+            return self.field._constant(op(n1[origin], n2[origin]))
+        if op is operator.truediv:
+            return None
+        return Scalar(self.field, op(self.num, other.num), self.field._unit,
+                      _normalized=True)
+
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
@@ -374,6 +403,9 @@ class Scalar:
             return self
         if not self.num.terms and other.field is self.field:
             return other
+        fast = self._polynomial_op(other, operator.add)
+        if fast is not None:
+            return fast
         if self.den == other.den:
             return Scalar(self.field, self.num + other.num, self.den)
         return Scalar(self.field,
@@ -390,6 +422,9 @@ class Scalar:
             return self
         if not self.num.terms and other.field is self.field:
             return -other
+        fast = self._polynomial_op(other, operator.sub)
+        if fast is not None:
+            return fast
         if self.den == other.den:
             return Scalar(self.field, self.num - other.num, self.den)
         return Scalar(self.field,
@@ -408,6 +443,9 @@ class Scalar:
             return NotImplemented
         if not self.num.terms or not other.num.terms:
             return self.field.zero()
+        fast = self._polynomial_op(other, operator.mul)
+        if fast is not None:
+            return fast
         return Scalar(self.field, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -418,6 +456,9 @@ class Scalar:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        fast = self._polynomial_op(other, operator.truediv)
+        if fast is not None:
+            return fast
         return Scalar(self.field, self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -482,7 +523,7 @@ class Scalar:
 
     def __str__(self):
         num = str(self.num)
-        if self.den == Polynomial.constant(self.field, 1):
+        if self.den == self.field._unit:
             return num
         den = str(self.den)
         if len(self.den.terms) > 1 or any(c in den for c in "*/ "):
@@ -519,10 +560,12 @@ class ScalarField:
         self.vars = names
         self.nvars = len(names)
         self._index = {n: i for i, n in enumerate(names)}
-        self._one = Scalar(self, Polynomial.constant(self, 1),
-                           Polynomial.constant(self, 1), _normalized=True)
-        self._zero = Scalar(self, Polynomial(self, {}),
-                            Polynomial.constant(self, 1), _normalized=True)
+        self._origin = (0,) * self.nvars
+        # the denominator 1, shared by the Scalars built here: Polynomials
+        # are never mutated
+        self._unit = Polynomial.constant(self, 1)
+        self._zero = Scalar(self, Polynomial(self, {}), self._unit, _normalized=True)
+        self._one = self._constant(Fraction(1))
 
     def index(self, name):
         try:
@@ -538,12 +581,18 @@ class ScalarField:
 
     def scalar(self, value):
         """Scalar from an int or Fraction."""
-        num = Polynomial.constant(self, Fraction(value))
-        return Scalar(self, num, Polynomial.constant(self, 1), _normalized=True)
+        return self._constant(Fraction(value))
+
+    def _constant(self, value):
+        """The normal form of a Fraction: zero, or value over the unit."""
+        if not value:
+            return self._zero
+        return Scalar(self, Polynomial(self, {self._origin: value}), self._unit,
+                      _normalized=True)
 
     def var(self, name):
         num = Polynomial.variable(self, name)
-        return Scalar(self, num, Polynomial.constant(self, 1), _normalized=True)
+        return Scalar(self, num, self._unit, _normalized=True)
 
     def parse(self, text):
         """Scalar from an arithmetic expression over rationals and parameters."""

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import lckverify.catalog as catalog_module
 from lckverify.catalog import (
     builtin_catalog_text,
     load_builtin,
@@ -15,7 +16,7 @@ from lckverify.catalog import (
     verify_entry,
     verify_equivalence,
 )
-from lckverify.errors import SchemaError
+from lckverify.errors import LckError, SchemaError
 from lckverify.exterior import KForm
 from lckverify.lck import LcKStructure, lee_form, verify_lck
 
@@ -91,6 +92,26 @@ def test_verify_entry_rh3(catalog):
     assert "rh3/center" in ids
     assert "rh3/J:J/complex" in ids
     assert any(i.startswith("rh3/lck:main/vaisman") for i in ids)
+
+
+def test_lee_form_error_is_a_failing_record_and_a_bug_propagates(catalog, monkeypatch):
+    def degenerate(g, omega):
+        raise LckError("omega is degenerate")
+
+    monkeypatch.setattr(catalog_module, "lee_form", degenerate)
+    records = [r for r in verify_entry(catalog.get("rh3"))
+               if r.id.endswith("/lee_roundtrip")]
+    assert records
+    for r in records:
+        assert not r.passed
+        assert "omega is degenerate" in r.residual
+
+    def bug(g, omega):
+        raise ZeroDivisionError("a programming error")
+
+    monkeypatch.setattr(catalog_module, "lee_form", bug)
+    with pytest.raises(ZeroDivisionError, match="a programming error"):
+        verify_entry(catalog.get("rh3"))
 
 
 def test_verify_entry_d4p_delta_never_vaisman(catalog):

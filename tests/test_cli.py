@@ -1,5 +1,6 @@
 """Subcommands, exit codes, and the machine report format."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from lckverify.cli import run
 
-SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "examples" / "specs"
 
 
 def test_verify_table_single_entry(capsys):
@@ -18,7 +20,16 @@ def test_verify_table_single_entry(capsys):
 
 
 def test_verify_table_unknown_entry():
-    assert run(["verify-table", "--entry", "nope"]) == 1
+    assert run(["verify-table", "--entry", "nope"]) == 2
+
+
+def test_report_bytes_match_the_benchmark_reference(capsys):
+    """The built-in catalog's JSON report has the digest the benchmark
+    checks every run against."""
+    assert run(["verify-table", "--json", "-"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    assert digest == reference["catalog"]["full"]
 
 
 def test_usage_error_exit_code(capsys):
@@ -73,13 +84,22 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["mn", "--algebra", "0,0,-12,0", "--theta", "e4+"], "--theta"),
     (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
                   "--J", _j_file(tmp, ["1+"] + ["0"] * 15)], "'matrix'"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
+                  "--J", "nope.J"], "--J nope.J"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e4",
+                  "--J", "rh3.nope"], "--J rh3.nope"),
+    (lambda tmp: ["vaisman", "--entry", "nope"], "--entry"),
+    (lambda tmp: ["verify-table", "--entry", "nope"], "--entry"),
+    (lambda tmp: ["extend", "--spec", _spec(tmp, entry="nope")], "'entry'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
         "missing-catalog", "mn-bad-at", "ot-bad-c", "extend-rho-not-a-list",
         "extend-ragged-rho", "extend-too-few-rho", "extend-bad-rho-expression",
         "cokahler-short-phi", "cokahler-short-metric", "cokahler-short-d",
         "cokahler-eta-not-a-string", "solve-j-matrix-not-strings",
         "extend-params-not-a-list", "solve-bad-theta", "solve-bad-algebra",
-        "lee-bad-omega", "mn-bad-theta", "solve-bad-j-expression"])
+        "lee-bad-omega", "mn-bad-theta", "solve-bad-j-expression",
+        "solve-unknown-j-entry", "solve-unknown-j-name", "vaisman-unknown-entry",
+        "verify-table-unknown-entry", "extend-unknown-entry"])
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err

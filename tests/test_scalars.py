@@ -103,10 +103,10 @@ def test_eval_is_ring_homomorphism():
 def _general_path(op, a, b):
     """a op b through the normalising constructor, in a's field."""
     if op is operator.mul:
-        num = a.num * b.num
-    else:
-        num = op(a.num * b.den, b.num * a.den)
-    return Scalar(a.field, num, a.den * b.den)
+        return Scalar(a.field, a.num * b.num, a.den * b.den)
+    if op is operator.truediv:
+        return Scalar(a.field, a.num * b.den, a.den * b.num)
+    return Scalar(a.field, op(a.num * b.den, b.num * a.den), a.den * b.den)
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["parametric", "QQ"])
@@ -129,6 +129,77 @@ def test_zero_operand_matches_normal_form(field):
                     assert got.field is want.field
                     assert got.num.terms == want.num.terms
                     assert got.den.terms == want.den.terms
+
+
+def _operand(rng, field, kind):
+    """A Scalar built by the normalising constructor: a constant, a
+    nonconstant polynomial, or a quotient with a nonconstant denominator."""
+    def poly(constant):
+        while True:
+            terms = {}
+            for _ in range(rng.randint(1, 2)):
+                exps = [0] * field.nvars
+                for _ in range(0 if constant else rng.randint(1, 2)):
+                    exps[rng.randrange(field.nvars)] += 1
+                exps = tuple(exps)
+                terms[exps] = terms.get(exps, 0) + Fraction(rng.randint(-6, 6),
+                                                            rng.randint(1, 4))
+            p = Polynomial(field, {e: c for e, c in terms.items() if c})
+            if not p.is_zero() and p.is_constant() == constant:
+                return p
+
+    one = Polynomial.constant(field, 1)
+    if kind == "constant":
+        return Scalar(field, poly(True), one)
+    if kind == "polynomial":
+        return Scalar(field, poly(False), one)
+    return Scalar(field, poly(False), poly(False))
+
+
+@pytest.mark.parametrize("field, kinds", [
+    (F, ("constant", "polynomial", "quotient")),
+    (QQ, ("constant",)),
+], ids=["parametric", "QQ"])
+def test_polynomial_operands_match_normal_form(field, kinds):
+    """+, -, * and / on seeded pairs of constants, polynomials and
+    quotients, mixed in every way and with the right operand also from a
+    distinct field with the same names, give what the normalising
+    constructor gives, in the left operand's field."""
+    rng = random.Random(31)
+    twin = ScalarField(field.vars)
+    for _ in range(12):
+        for left in kinds:
+            for right in kinds:
+                x = _operand(rng, field, left)
+                for y in (_operand(rng, field, right), _operand(rng, twin, right)):
+                    for op in (operator.add, operator.sub, operator.mul,
+                               operator.truediv):
+                        got, want = op(x, y), _general_path(op, x, y)
+                        assert got.field is want.field is field
+                        assert got.num.terms == want.num.terms
+                        assert got.den.terms == want.den.terms
+
+
+def test_polynomial_operands_skip_normalisation(monkeypatch):
+    """A sum or product of two constants over QQ, or of two polynomials,
+    never reaches the content computation of the normalising constructor."""
+    calls = []
+    content_sign = Polynomial.content_sign
+
+    def counted(self):
+        calls.append(self)
+        return content_sign(self)
+
+    monkeypatch.setattr(Polynomial, "content_sign", counted)
+    pairs = [(QQ.scalar(Fraction(3, 4)), QQ.scalar(Fraction(-5, 6))),
+             (F.parse("a^2 + 2*b"), F.parse("3*a - m1/2"))]
+    for x, y in pairs:
+        assert (x * y, x + y) == (_general_path(operator.mul, x, y),
+                                  _general_path(operator.add, x, y))
+        calls.clear()
+        x * y
+        x + y
+        assert calls == []
 
 
 def test_normalization_is_canonical():

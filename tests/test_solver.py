@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lckverify import linalg
 from lckverify.errors import LckError
 from lckverify.exterior import KForm, parse_form
 from lckverify.hermitian import ComplexStructure
@@ -31,6 +32,11 @@ def rh3_setup():
                                     [0, 0, 0, -1], [0, 0, 1, 0]]))
     theta = parse_form(F, 4, "t1*e1+t2*e2+t4*e4")
     return g, J, theta
+
+
+def test_nullspace_of_no_rows_is_an_lck_error():
+    with pytest.raises(LckError, match="at least one row"):
+        linalg.nullspace([], 3)
 
 
 def test_twisted_space_rh3():
