@@ -157,7 +157,7 @@ class KForm:
         if len(vector) != self.dim:
             raise LckError(f"cannot contract a {self.dim}-dimensional form "
                            f"with a vector of length {len(vector)}")
-        out = KForm.zero(self.field, self.dim, self.degree - 1)
+        coeffs = {}
         for idx, c in self.coeffs.items():
             for pos, i in enumerate(idx):
                 x = vector[i - 1]
@@ -169,8 +169,9 @@ class KForm:
                 if pos % 2:
                     term = -term
                 rest = idx[:pos] + idx[pos + 1:]
-                out = out + KForm(self.field, self.dim, self.degree - 1, {rest: term})
-        return out
+                s = coeffs.get(rest)
+                coeffs[rest] = term if s is None else s + term
+        return KForm(self.field, self.dim, self.degree - 1, coeffs)
 
     def __call__(self, *vectors):
         """Evaluate on degree-many coordinate vectors; returns a Scalar."""

@@ -139,10 +139,17 @@ def is_j_invariant(omega, J):
 
 
 def gram_metric(omega, J):
-    """G[i][j] = Omega(e_i, P e_j); raises LckError when not symmetric."""
+    """G[i][j] = Omega(e_i, P e_j), as W P with W[i][k] = Omega(e_i, e_k);
+    raises LckError when not symmetric."""
     g = J.algebra
-    columns = linalg.transpose(dual_to_primal(J))  # the vectors P e_j
-    G = [[omega(ei, pj) for pj in columns] for ei in linalg.identity(g.field, g.dim)]
+    if omega.degree != 2:
+        raise LckError(f"{omega.degree}-form applied to 2 vectors")
+    zero = g.field.zero()
+    W = [[zero] * g.dim for _ in range(g.dim)]
+    for (a, b), c in omega.coeffs.items():
+        W[a - 1][b - 1] = c
+        W[b - 1][a - 1] = -c
+    G = linalg.mat_mul(W, dual_to_primal(J))
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             if G[i][j] != G[j][i]:
@@ -154,10 +161,29 @@ def gram_metric(omega, J):
 
 def is_positive_at(omega, J, assignment):
     """Sylvester criterion on the gram matrix at a rational point."""
-    return sylvester_positive(gram_metric(omega, J), assignment)
+    return sylvester_positive(gram_metric(omega, J), assignment)[0]
 
 
 def sylvester_positive(G, assignment):
-    """Sylvester criterion on a symmetric matrix at a rational point."""
-    minors = linalg.leading_principal_minors(matrix_at(G, assignment))
-    return all(m.constant_value() > 0 for m in minors)
+    """Sylvester criterion on a symmetric matrix at a rational point.
+
+    Returns (positive, residual), the residual naming the first leading
+    principal minor that is not positive: "minor k = v".  G is evaluated
+    to plain Fractions and reduced by one Gaussian elimination without
+    row swaps.  While the first k - 1 pivots are nonzero, the k-th
+    leading minor is the product of the first k pivots (Golub-Van Loan,
+    Matrix Computations, 4.2), so every minor is positive iff every pivot
+    is, and the first pivot <= 0 marks the first minor <= 0.
+    """
+    rows = [[x.eval(assignment) for x in row] for row in G]
+    minor = 1
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        minor *= pivot
+        if pivot <= 0:
+            return False, f"minor {k + 1} = {minor}"
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / pivot
+            if factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], row)]
+    return True, ""

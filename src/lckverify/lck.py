@@ -109,7 +109,8 @@ def verify_lck(s):
         checks.append(CheckRecord("witness_in_region", ok and nonzero, witness=w,
                                   note="" if nonzero else "theta vanishes at witness"))
         if invariant:
-            checks.append(CheckRecord("positive", sylvester_positive(s.metric, w), witness=w))
+            positive, residual = sylvester_positive(s.metric, w)
+            checks.append(CheckRecord("positive", positive, residual=residual, witness=w))
     return LckReport(s.name, checks)
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra over a ScalarField.
 
-Matrices are plain lists of lists of Scalars.  Pivots are chosen
-deterministically (first row with a nonzero entry, scanning columns left
-to right), and every pivot that is not a nonzero constant is surfaced as
-a side condition: the reduction is only valid on the locus where those
-numerators do not vanish.
+Matrices are plain lists of lists of Scalars.  Products skip the terms
+with a zero factor: the matrices here are mostly zeros, and Scalars are
+kept in normal form, so every entry comes out the same as the dense sum.
+Pivots are chosen deterministically (first row with a nonzero entry,
+scanning columns left to right), and every pivot that is not a nonzero
+constant is surfaced as a side condition: the reduction is only valid on
+the locus where those numerators do not vanish.
 """
 
 from __future__ import annotations
@@ -17,15 +19,25 @@ def identity(field, n):
             for i in range(n)]
 
 
+def _dot(zero, row, col):
+    """sum(x * y for x, y in zip(row, col)) from `zero`, over the pairs
+    whose factors are both nonzero."""
+    total = zero
+    for x, y in zip(row, col):
+        if x.num.terms and y.num.terms:
+            total = total + x * y
+    return total
+
+
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)),
-                 start=a[0][0].field.zero()) for j in range(p)] for i in range(n)]
+    zero = a[0][0].field.zero()
+    cols = list(zip(*b))
+    return [[_dot(zero, row, col) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(len(v))),
-                start=a[0][0].field.zero()) for row in a]
+    zero = a[0][0].field.zero()
+    return [_dot(zero, row, v) for row in a]
 
 
 def transpose(a):
@@ -181,7 +193,3 @@ def inverse(a):
     if len(pivots) < n:
         raise LckError("matrix is not invertible")
     return [row[n:] for row in red[:n]]
-
-
-def leading_principal_minors(a):
-    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]

@@ -432,7 +432,10 @@ class Scalar:
                       self.den * other.den)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return Scalar(self.field, -self.num, self.den, _normalized=True)
@@ -463,6 +466,8 @@ class Scalar:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n):

@@ -1,5 +1,7 @@
 """Extension builders: representations, the unimodular family, mapping tori."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -253,6 +255,24 @@ def test_ot_theta_closed_for_any_n():
     for n in (1, 2, 3):
         g, s = ot_algebra(n, [Fraction(i, 2) for i in range(1, n + 1)])
         assert g.ce_d(s.theta).is_zero()
+
+
+def test_construct_outputs_match_the_benchmark_reference(monkeypatch):
+    """One seed-0 round of the benchmark's `construct` workload: every
+    output (dimension, Vaisman verdict, A, Betti numbers, theta, Omega)
+    has the digest stored in bench/reference.json."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays untouched
+    spec.loader.exec_module(workloads)
+    reference = json.loads((root / "bench" / "reference.json").read_text())
+    workload = workloads.ConstructWorkload(str(root), 0, reference)
+    ops = workload.round(0).ops
+    assert sorted(op.id for op in ops) == sorted(reference["construct"]["0"])
+    assert [(op.id, op.detail) for op in ops if not op.ok] == []
 
 
 # -- coKaehler mapping torus ------------------------------------------------------

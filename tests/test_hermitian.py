@@ -178,8 +178,38 @@ def test_gram_metric_u2_entry():
 
 
 def test_gram_metric_not_invariant():
-    with pytest.raises(LckError, match="gram matrix asymmetric"):
+    with pytest.raises(LckError, match=r"^gram matrix asymmetric at \(1,4\): -1 vs 0$"):
         gram_metric(parse_form(QQ, 4, "e13"), RH3_J)
+    with pytest.raises(LckError, match="1-form applied to 2 vectors"):
+        gram_metric(parse_form(QQ, 4, "e1"), RH3_J)
+
+
+def _metric_structures():
+    from test_constructions import cok3_data
+
+    from lckverify.catalog import load_builtin
+    from lckverify.constructions import cokahler_mapping_torus, ot_algebra
+
+    for entry in load_builtin().entries:
+        for fam in entry.lck_families:
+            yield f"{entry.id}/{fam.name}", entry.family_structure(fam)
+    for n, c in ((1, [0]), (2, [1, 2]), (3, [1, 2, 3])):
+        yield f"ot({n})", ot_algebra(n, c)[1]
+    yield "torus(4)", cokahler_mapping_torus(cok3_data())[1]
+
+
+def test_gram_metric_is_omega_on_e_i_and_p_e_j():
+    """W P, with W read off the coefficients of Omega, is Omega(e_i, P e_j)
+    by two interior products, as identities over the family's field."""
+    names = []
+    for name, s in _metric_structures():
+        g = s.algebra
+        columns = linalg.transpose(dual_to_primal(s.J))  # the vectors P e_j
+        reference = [[s.omega(ei, pj) for pj in columns]
+                     for ei in linalg.identity(g.field, g.dim)]
+        assert linalg.mat_eq(gram_metric(s.omega, s.J), reference), name
+        names.append(name)
+    assert len(names) == 36 + 4
 
 
 def test_positivity_examples():

@@ -77,6 +77,29 @@ def test_verify_lck_needs_witness():
         verify_lck(s)
 
 
+def test_failing_positivity_names_the_first_nonpositive_minor():
+    """A failing `positive` record carries the first leading minor of the
+    metric at the witness that is not positive, and its value."""
+    from test_catalog import mutate_omega_sign
+    from test_linalg import sylvester_reference
+
+    from lckverify.catalog import load_builtin
+    from lckverify.constructions import ot_algebra
+
+    entry = load_builtin().get("r2p")
+    fam = next(f for f in entry.lck_families if f.name == "J2-generic")
+    flipped = mutate_omega_sign(entry, fam, 1)
+    _, ot = ot_algebra(2, [1, 2])
+    negative = LcKStructure(ot.algebra, ot.J, ot.theta, -ot.omega, ot.constraints,
+                            ot.witnesses, name="ot(2), -Omega")
+    for s, k in ((flipped, 3), (negative, 1)):
+        failed = [c for c in verify_lck(s).checks if not c.passed]
+        assert failed and all(c.check == "positive" for c in failed), s.name
+        for c in failed:
+            assert c.residual.startswith(f"minor {k} = "), c.residual
+            assert (False, c.residual) == sylvester_reference(s.metric, c.witness)
+
+
 def test_lee_form_examples():
     F = ScalarField(("s",))
     g = parse_salamon("0,0,-12,0", field=F)

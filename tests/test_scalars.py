@@ -202,6 +202,20 @@ def test_polynomial_operands_skip_normalisation(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("other", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("op, symbol", [(operator.sub, "-"), (operator.truediv, "/")],
+                         ids=["sub", "div"])
+@pytest.mark.parametrize("scalar_left", [True, False], ids=["scalar-left", "scalar-right"])
+def test_unsupported_operand_is_a_type_error(other, op, symbol, scalar_left):
+    """Either way round, the TypeError names both operand types in order."""
+    x = QQ.scalar(2)
+    left, right = (x, other) if scalar_left else (other, x)
+    with pytest.raises(TypeError) as info:
+        op(left, right)
+    assert (f"for {symbol}: '{type(left).__name__}' and '{type(right).__name__}'"
+            in str(info.value))
+
+
 def test_normalization_is_canonical():
     pairs = [
         ("a/b + b/a", "(a^2+b^2)/(a*b)"),
