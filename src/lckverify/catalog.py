@@ -350,11 +350,8 @@ def verify_entry(entry):
     if entry.center_basis is not None:
         witness = _fractions(entry.center_witness)
         got = g.center(witness)
-        expected = []
-        for text in entry.center_basis:
-            vec_form = parse_form(QQ, g.dim, text, degree=1)
-            expected.append([vec_form.coeffs.get((i,), QQ.zero())
-                             for i in range(1, g.dim + 1)])
+        expected = [parse_form(QQ, g.dim, text, degree=1).vector()
+                    for text in entry.center_basis]
         ok = _span_equal(got, expected, g.dim)
         _check(records, f"{entry.id}/center", ok,
                witness=entry.center_witness or None,
@@ -432,14 +429,17 @@ def _verify_family(entry, fam):
             want = all(parse_constraint(field, c).holds_at(w) for c in expected["iff"])
         else:
             want = expected == "always"
-        got, A = vaisman_test(s, w)
+        try:
+            got, A = vaisman_test(s, w)
+        except LckError as exc:  # G singular or theta(G^-1 theta) = 0 at w
+            _check(records, f"{prefix}/vaisman@{k}", False, witness=w,
+                   residual=f"{type(exc).__name__}: {exc}")
+            continue
         ok = got == want
         note = ""
         if ok and fam.vaisman_vector:
-            vec_form = parse_form(s.algebra.field, s.algebra.dim,
-                                  fam.vaisman_vector, degree=1)
-            vec = [vec_form.coeffs.get((i,), s.algebra.field.zero()).eval(w)
-                   for i in range(1, s.algebra.dim + 1)]
+            vec = [c.eval(w) for c in parse_form(s.algebra.field, s.algebra.dim,
+                                                 fam.vaisman_vector, degree=1).vector()]
             ok = vec == A
             note = "" if ok else f"expected A={vec}, got {A}"
         _check(records, f"{prefix}/vaisman@{k}", ok, witness=w,

@@ -402,7 +402,7 @@ def cmd_cokahler(args):
     dim = h.dim
     eta, xi_form = (_read(lambda t: parse_form(field, dim, t, degree=1), data[key], where(key))
                     for key in ("eta", "xi"))
-    xi = [xi_form.coeffs.get((i,), field.zero()) for i in range(1, dim + 1)]
+    xi = xi_form.vector()
     Phi, metric, D = (_flat_square(field, data[key], dim, where(key)) for key in matrices)
     cdata = CoKaehlerData(h, eta, xi, Phi, metric, D,
                           _read(field.parse, data["alpha"], where("alpha")),

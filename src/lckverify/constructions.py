@@ -18,6 +18,9 @@ Conventions: the fiber pairing fixes J0 u_i = v_i and omega_0 = sum
 u^i ^ v^i.  The mapping torus uses the fundamental form g(Phi _, _),
 whose sign makes the output J-positive with alpha > 0; the companion
 ordering g(_, Phi_) differs by an overall sign of Omega and is not used.
+Its hypotheses are the matrix identities Phi^2 = -I + xi eta^T,
+Phi^T g Phi = g - eta eta^T, D^T W + W D = alpha W and D^T eta = 0, on
+the coordinates that `KForm.vector` and `KForm.matrix` give.
 """
 
 from __future__ import annotations
@@ -170,8 +173,7 @@ def extension_pi(spec):
     n2 = spec.fiber_dim
     half = field.scalar(Fraction(1, 2))
     matrices = []
-    for k, rho_k in enumerate(spec.rho):
-        tk = spec.base.theta.coeffs.get((k + 1,), field.zero())
+    for tk, rho_k in zip(spec.base.theta.vector(), spec.rho):
         matrices.append([[rho_k[a][b] - (half * tk if a == b else field.zero())
                           for b in range(n2)] for a in range(n2)])
     return matrices
@@ -222,9 +224,8 @@ def unimodularity_check(spec):
     field = base.algebra.field
     n = field.scalar(spec.fiber_dim // 2)
     direct = all(
-        (base.algebra.unimodular_character(ek)
-         - n * base.theta.coeffs.get((k + 1,), field.zero())).is_zero()
-        for k, ek in enumerate(linalg.identity(field, base.algebra.dim)))
+        (base.algebra.unimodular_character(ek) - n * tk).is_zero()
+        for tk, ek in zip(base.theta.vector(), linalg.identity(field, base.algebra.dim)))
     g = extension_by_representation(base.algebra, extension_pi(spec))
     on_output = all(g.unimodular_character(ek).is_zero()
                     for ek in linalg.identity(field, g.dim))
@@ -252,16 +253,12 @@ def aff_block_lck(field, n):
     g = aff_block_algebra(field, n)
     dim = 2 * n
     theta = KForm(field, dim, 1, {(2 * i + 1,): field.one() for i in range(n)})
-    coeffs = {}
+    W = [[field.zero()] * dim for _ in range(dim)]
     for i in range(n):
         for j in range(n):
-            a, b = 2 * i + 1, 2 * j + 2
-            c = field.scalar(2 if i == j else 1)
-            if a < b:
-                coeffs[(a, b)] = coeffs.get((a, b), field.zero()) + c
-            else:
-                coeffs[(b, a)] = coeffs.get((b, a), field.zero()) - c
-    omega = KForm(field, dim, 2, coeffs)
+            W[2 * i][2 * j + 1] = field.scalar(2 if i == j else 1)  # Omega(e_i, f_j)
+            W[2 * j + 1][2 * i] = -W[2 * i][2 * j + 1]
+    omega = KForm.from_matrix(field, W)
     # the J e_i = f_i pairing
     J = ComplexStructure(g, minus_transpose(_fiber_rotation(field, dim)), name="J")
     return LcKStructure(g, J, theta, omega, constraints=[], witnesses=[{}],
@@ -340,48 +337,11 @@ class CoKaehlerData:
     name: str = ""
 
 
-def _pullback_one_form(form, op):
-    """(op^* form)(x) = form(op x) for a 1-form and an endomorphism."""
-    field = form.field
-    dim = form.dim
-    coeffs = {}
-    for j in range(dim):
-        val = field.zero()
-        for (i,), c in form.coeffs.items():
-            val = val + c * op[i - 1][j]
-        if not val.is_zero():
-            coeffs[(j + 1,)] = val
-    return KForm(field, dim, 1, coeffs)
-
-
-def _derivative_two_form(form, op):
-    """(L_op form)(x, y) = form(op x, y) + form(x, op y)."""
-    field = form.field
-    dim = form.dim
-    out = KForm.zero(field, dim, 2)
-    e = linalg.identity(field, dim)
-    for a in range(1, dim + 1):
-        for b in range(a + 1, dim + 1):
-            ea, eb = e[a - 1], e[b - 1]
-            val = form(linalg.mat_vec(op, ea), eb) + form(ea, linalg.mat_vec(op, eb))
-            if not val.is_zero():
-                out = out + KForm(field, dim, 2, {(a, b): val})
-    return out
-
-
 def fundamental_two_form(data):
-    """omega = g(Phi _, _): the pairing that makes the torus J-positive."""
-    field = data.h.field
-    dim = data.h.dim
-    coeffs = {}
-    for a in range(1, dim + 1):
-        for b in range(a + 1, dim + 1):
-            val = field.zero()
-            for t in range(dim):
-                val = val + data.Phi[t][a - 1] * data.metric[t][b - 1]
-            if not val.is_zero():
-                coeffs[(a, b)] = val
-    return KForm(field, dim, 2, coeffs)
+    """omega = g(Phi _, _), the 2-form of Phi^T g: the pairing that makes
+    the torus J-positive."""
+    return KForm.from_matrix(data.h.field,
+                             linalg.mat_mul(linalg.transpose(data.Phi), data.metric))
 
 
 def reeb_vector(data):
@@ -402,22 +362,16 @@ def _check_cokahler(data):
     eta_xi = data.eta(data.xi)
     if eta_xi != field.one():
         raise LckError(f"cK1: eta(xi) = {eta_xi}")
-    # Phi^2 = -id + eta (x) xi
+    eta = data.eta.vector()
     phi2 = linalg.mat_mul(data.Phi, data.Phi)
-    eta_coords = [data.eta.coeffs.get((i,), field.zero()) for i in range(1, dim + 1)]
-    for i in range(dim):
-        for j in range(dim):
-            want = data.xi[i] * eta_coords[j] - (field.one() if i == j else field.zero())
-            if phi2[i][j] != want:
-                raise LckError("cK2: Phi^2 != -id + eta (x) xi")
-    # metric compatibility g(Phi x, Phi y) = g(x, y) - eta(x) eta(y)
-    Pt = linalg.transpose(data.Phi)
-    lhs = linalg.mat_mul(Pt, linalg.mat_mul(data.metric, data.Phi))
-    for i in range(dim):
-        for j in range(dim):
-            want = data.metric[i][j] - eta_coords[i] * eta_coords[j]
-            if lhs[i][j] != want:
-                raise LckError("cK3: g(Phi x, Phi y) != g(x,y) - eta(x)eta(y)")
+    xi_eta = linalg.mat_mul([[x] for x in data.xi], [eta])
+    if not linalg.mat_eq(phi2, linalg.mat_sub(xi_eta, linalg.identity(field, dim))):
+        raise LckError("cK2: Phi^2 != -id + eta (x) xi")
+    # metric compatibility Phi^T g Phi = g - eta (x) eta
+    lhs = linalg.mat_mul(linalg.transpose(data.Phi), linalg.mat_mul(data.metric, data.Phi))
+    eta_eta = linalg.mat_mul([[x] for x in eta], [eta])
+    if not linalg.mat_eq(lhs, linalg.mat_sub(data.metric, eta_eta)):
+        raise LckError("cK3: g(Phi x, Phi y) != g(x,y) - eta(x)eta(y)")
     omega = fundamental_two_form(data)
     if not h.ce_d(data.eta).is_zero() or not h.ce_d(omega).is_zero():
         raise LckError("cK4: eta or the cosymplectic form is not closed")
@@ -443,9 +397,12 @@ def cokahler_mapping_torus(data):
         raise LckError("the derivation must rescale the cosymplectic form")
     omega = _check_cokahler(data)
     g = extension_by_derivation(data.h, data.D)
-    if _derivative_two_form(omega, data.D) != omega * alpha:
+    Dt = linalg.transpose(data.D)
+    # L_D omega has the matrix D^T W + W D = D^T W - (D^T W)^T
+    DtW = linalg.mat_mul(Dt, omega.matrix())
+    if not linalg.mat_eq(linalg.mat_sub(DtW, linalg.transpose(DtW)), (omega * alpha).matrix()):
         raise LckError("D omega != alpha omega")
-    if not _pullback_one_form(data.eta, data.D).is_zero():
+    if not all(x.is_zero() for x in linalg.mat_vec(Dt, data.eta.vector())):
         raise LckError("D eta != 0")
     if any(not x.is_zero() for x in linalg.mat_vec(data.D, data.xi)):
         raise LckError("D xi != 0")
@@ -453,25 +410,13 @@ def cokahler_mapping_torus(data):
                          linalg.mat_mul(data.Phi, data.D)):
         raise LckError("D Phi != Phi D")
 
-    dim = g.dim
-    new = dim  # index of the new generator
+    dim = g.dim  # the new generator is e_dim
+    theta = KForm(field, dim, 1, {(dim,): -alpha})
+    Omega = KForm(field, dim, 2, omega.coeffs) + theta.wedge(KForm(field, dim, 1, data.eta.coeffs))
 
-    def embed2(form):
-        return KForm(field, dim, 2, dict(form.coeffs))
-
-    theta = KForm(field, dim, 1, {(new,): -alpha})
-    eta_ext = KForm(field, dim, 1, dict(data.eta.coeffs))
-    Omega = embed2(omega) + theta.wedge(eta_ext)
-
-    # J(X, a) = (Phi X - a xi, eta(X)) on vectors
-    P = [[field.zero()] * dim for _ in range(dim)]
-    eta_coords = [data.eta.coeffs.get((i,), field.zero())
-                  for i in range(1, data.h.dim + 1)]
-    for i in range(data.h.dim):
-        for j in range(data.h.dim):
-            P[i][j] = data.Phi[i][j]
-        P[new - 1][i] = eta_coords[i]
-        P[i][new - 1] = -data.xi[i]
+    # J(X, a) = (Phi X - a xi, eta(X)) on vectors: the block matrix [[Phi, -xi], [eta, 0]]
+    P = ([row + [-x] for row, x in zip(data.Phi, data.xi)]
+         + [data.eta.vector() + [field.zero()]])
     J = ComplexStructure(g, minus_transpose(P), name="J")
 
     out = LcKStructure(g, J, theta, Omega, constraints=[], witnesses=[{}],

@@ -3,6 +3,11 @@
 A KForm is a sparse map from strictly increasing 1-based index tuples to
 Scalar coefficients.  Index tuples are 1-based so that catalog data can
 be transcribed verbatim in the e^1..e^n coframe notation.
+
+The linear algebra elsewhere works on coordinates: `vector()` gives a
+1-form's values (theta(e_1), ..., theta(e_n)), `matrix()` a 2-form's
+antisymmetric matrix W[a][b] = Omega(e_a, e_b), and `from_matrix` is the
+inverse of `matrix()`.
 """
 
 from __future__ import annotations
@@ -72,6 +77,14 @@ class KForm:
         indices = tuple(indices)
         c = coeff if isinstance(coeff, Scalar) else field.scalar(coeff)
         return KForm(field, dim, len(indices), {indices: c})
+
+    @staticmethod
+    def from_matrix(field, matrix):
+        """The 2-form with Omega(e_a, e_b) = matrix[a][b] for a < b; the
+        lower triangle is not read."""
+        n = len(matrix)
+        return KForm(field, n, 2, {(a + 1, b + 1): matrix[a][b]
+                                   for a in range(n) for b in range(a + 1, n)})
 
     # -- predicates ---------------------------------------------------------
 
@@ -184,6 +197,24 @@ class KForm:
             form = form.interior(v)
         return form.coeffs.get((), self.field.zero())
 
+    def vector(self):
+        """[theta(e_1), ..., theta(e_n)] for a 1-form theta."""
+        if self.degree != 1:
+            raise LckError(f"{self.degree}-form applied to 1 vectors")
+        zero = self.field.zero()
+        return [self.coeffs.get((i,), zero) for i in range(1, self.dim + 1)]
+
+    def matrix(self):
+        """W[a][b] = Omega(e_a, e_b) for a 2-form Omega, antisymmetric."""
+        if self.degree != 2:
+            raise LckError(f"{self.degree}-form applied to 2 vectors")
+        zero = self.field.zero()
+        W = [[zero] * self.dim for _ in range(self.dim)]
+        for (a, b), c in self.coeffs.items():
+            W[a - 1][b - 1] = c
+            W[b - 1][a - 1] = -c
+        return W
+
     # -- coefficient maps ----------------------------------------------------------
 
     def map_coeffs(self, fn, field=None):
@@ -276,8 +307,10 @@ def parse_form(field, dim, text, degree=None):
         if value.is_zero():
             return KForm.zero(field, dim, degree if degree is not None else 0)
         raise ParseError(f"expression {text!r} has no basis form factor")
-    if degree is not None and value.degree != degree and not value.is_zero():
-        raise ParseError(f"expected a {degree}-form in {text!r}, got degree {value.degree}")
+    if degree is not None and value.degree != degree:
+        if not value.is_zero():
+            raise ParseError(f"expected a {degree}-form in {text!r}, got degree {value.degree}")
+        return KForm.zero(field, dim, degree)  # "0*e12" read as a 1-form
     return value
 
 

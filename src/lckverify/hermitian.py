@@ -7,7 +7,8 @@ vectors is always derived via P = -M^T, never transcribed, and the map
 is written once, in `minus_transpose`, so there is a single place where
 the convention can go wrong; the self-tests pin it against the rh3 data
 where both sides are known.  P is derived once per J, after the check
-M^2 = -Id, and cached on it.
+M^2 = -Id, and cached on it.  The metric is the matrix product W P, with
+W = `KForm.matrix` of Omega.
 """
 
 from __future__ import annotations
@@ -131,27 +132,23 @@ def commutes_with(matrix, J):
                          linalg.mat_mul(J.dual, matrix))
 
 
+def j_residual(omega, J):
+    """Omega(P., P.) - Omega, the 2-form that vanishes iff Omega is J-invariant."""
+    P = dual_to_primal(J)
+    return coframe_substitution(linalg.transpose(P), omega) - omega
+
+
 def is_j_invariant(omega, J):
     """Omega(P., P.) = Omega identically."""
-    P = dual_to_primal(J)
-    transformed = coframe_substitution(linalg.transpose(P), omega)
-    return transformed == omega
+    return j_residual(omega, J).is_zero()
 
 
 def gram_metric(omega, J):
-    """G[i][j] = Omega(e_i, P e_j), as W P with W[i][k] = Omega(e_i, e_k);
-    raises LckError when not symmetric."""
-    g = J.algebra
-    if omega.degree != 2:
-        raise LckError(f"{omega.degree}-form applied to 2 vectors")
-    zero = g.field.zero()
-    W = [[zero] * g.dim for _ in range(g.dim)]
-    for (a, b), c in omega.coeffs.items():
-        W[a - 1][b - 1] = c
-        W[b - 1][a - 1] = -c
-    G = linalg.mat_mul(W, dual_to_primal(J))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
+    """G[i][j] = Omega(e_i, P e_j), the product W P of the matrix of Omega
+    and the operator on vectors; raises LckError when not symmetric."""
+    G = linalg.mat_mul(omega.matrix(), J.P)
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
             if G[i][j] != G[j][i]:
                 raise LckError(
                     f"gram matrix asymmetric at ({i + 1},{j + 1}): "

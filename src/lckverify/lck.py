@@ -18,7 +18,7 @@ from functools import cached_property
 from . import linalg
 from .errors import LckError
 from .exterior import KForm, basis_tuples, linear_map_matrix
-from .hermitian import gram_metric, is_j_invariant, matrix_at, sylvester_positive
+from .hermitian import gram_metric, j_residual, matrix_at, sylvester_positive
 from .scalars import QQ
 
 
@@ -99,8 +99,10 @@ def verify_lck(s):
     checks.append(CheckRecord("twisted_closed", residual.is_zero(),
                               residual="" if residual.is_zero() else str(residual)))
 
-    invariant = is_j_invariant(s.omega, s.J)
-    checks.append(CheckRecord("j_invariant", invariant))
+    residual = j_residual(s.omega, s.J)
+    invariant = residual.is_zero()
+    checks.append(CheckRecord("j_invariant", invariant,
+                              residual="" if invariant else str(residual)))
 
     for w in s.witnesses:
         ok = all(c.holds_at(w) for c in s.constraints)
@@ -138,21 +140,19 @@ def lee_form(g, omega):
 
 
 def vaisman_vector(s, assignment):
-    """The metric-dual A of theta: theta(A) = 1 and A orthogonal to ker theta."""
+    """The metric dual A of theta scaled to theta(A) = 1: A = x / theta(x)
+    with G x = theta.  Raises LckError when theta vanishes, G is singular
+    or theta(x) = 0 at the witness."""
     g = s.algebra.instantiate(assignment)
-    n = g.dim
-    theta = s.theta.instantiate(assignment)
-    Gq = matrix_at(s.metric, assignment)
-    theta_coords = [theta.coeffs.get((i,), QQ.zero()) for i in range(1, n + 1)]
-    if all(c.is_zero() for c in theta_coords):
+    theta = s.theta.instantiate(assignment).vector()
+    if all(c.is_zero() for c in theta):
         raise LckError("theta vanishes at the witness")
-    kernel, _ = linalg.nullspace([theta_coords], n)
-    rows = [theta_coords]
-    for k in kernel:
-        rows.append(linalg.mat_vec(linalg.transpose(Gq), k))  # k^T G as a row
-    rhs = [QQ.one()] + [QQ.zero()] * len(kernel)
-    A = linalg.solve(rows, rhs)
-    return g, Gq, A
+    Gq = matrix_at(s.metric, assignment)
+    x = linalg.solve(Gq, theta)
+    [length] = linalg.mat_vec([theta], x)
+    if length.is_zero():
+        raise LckError("theta(G^-1 theta) = 0 at the witness")
+    return g, Gq, [c / length for c in x]
 
 
 def vaisman_test(s, assignment):

@@ -148,19 +148,8 @@ class LieAlgebra:
             raise LckError(f"center of {self.name or 'algebra'} needs values for "
                            f"its parameters {self.field.vars}")
         g = self.instantiate(assignment or {})
-        rows = []
-        table = g.bracket_table()
-        for j in range(1, g.dim + 1):
-            for k in range(g.dim):
-                row = []
-                for i in range(1, g.dim + 1):
-                    if i == j:
-                        row.append(QQ.zero())
-                    elif i < j:
-                        row.append(table[(i, j)][k])
-                    else:
-                        row.append(-table[(j, i)][k])
-                rows.append(row)
+        # [e_j, x] = ad_{e_j} x = 0 for every j
+        rows = [row for ej in linalg.identity(g.field, g.dim) for row in g.ad_matrix(ej)]
         basis, _ = linalg.nullspace(rows, g.dim)
         return basis
 

@@ -93,10 +93,9 @@ def _diagonal_functional(space, J, v):
     g = J.algebra
     if not 1 <= v <= g.dim:
         raise LckError(f"vector index {v} is not in 1..{g.dim}")
-    P = dual_to_primal(J)
-    ev = linalg.identity(g.field, g.dim)[v - 1]
-    pv = [P[t][v - 1] for t in range(g.dim)]
-    return [b(ev, pv) for b in space.basis]
+    pv = [row[v - 1] for row in dual_to_primal(J)]
+    # row v of the matrix of Omega times column v of P
+    return [linalg.mat_vec([b.matrix()[v - 1]], pv)[0] for b in space.basis]
 
 
 def degeneracy_certificate(space, J, v):

@@ -208,3 +208,26 @@ def test_external_catalog_override(tmp_path, capsys):
     assert run(["verify-table", "--catalog", str(path)]) == 0
     out = capsys.readouterr().out
     assert "rh3/jacobi" in out and "gl2" not in out
+
+
+def test_singular_metric_at_a_witness_is_a_failing_record(tmp_path, capsys):
+    """At a witness where the metric is singular, the Vaisman test fails its
+    record and the full report is printed with exit 1."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == "rh3"]
+    doc["entries"], doc["table_rows"] = [entry], ["rh3/main"]
+    [fam] = entry["lck_families"]
+    # Omega = s*e12 + s*e34 vanishes at s = 0
+    fam["constraints"], fam["witnesses"] = [], [{"s": "1"}, {"s": "0"}]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")] == [
+        "[FAIL] rh3/lck:main/positive@1  residual: minor 1 = 0  at {s=0}",
+        "[FAIL] rh3/lck:main/vaisman@1  residual: LckError: system has no solution  at {s=0}",
+        "18 passed, 2 failed",
+    ]

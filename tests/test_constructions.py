@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -251,6 +252,26 @@ def test_ot_matches_aff_extension_under_phi():
     assert linalg.mat_eq(P_back, dual_to_primal(ot.J))
 
 
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2)])
+def test_ot_brackets_carry_the_speeds(n, seed):
+    """[x_i, z_1] = -z_1/2 + c_i z_2 and [x_i, z_2] = -c_i z_1 - z_2/2 for
+    seeded rational speeds c, and other speeds give other structure equations."""
+    rng = random.Random(seed)
+    c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    g, _ = ot_algebra(n, c)
+    e = linalg.identity(QQ, 2 * n + 2)
+    z1, z2 = e[2 * n], e[2 * n + 1]
+
+    def combination(a, b):  # a z_1 + b z_2
+        return [QQ.scalar(a) * p + QQ.scalar(b) * q for p, q in zip(z1, z2)]
+
+    for i in range(n):
+        assert g.bracket(e[i], z1) == combination(Fraction(-1, 2), c[i]), i
+        assert g.bracket(e[i], z2) == combination(-c[i], Fraction(-1, 2)), i
+    other, _ = ot_algebra(n, [x + 1 for x in c])
+    assert other.d_coframe != g.d_coframe
+
+
 def test_ot_theta_closed_for_any_n():
     for n in (1, 2, 3):
         g, s = ot_algebra(n, [Fraction(i, 2) for i in range(1, n + 1)])
@@ -359,6 +380,31 @@ def test_cokahler_rejects_broken_axioms():
     with pytest.raises(LckError, match="the derivation must rescale the cosymplectic form"):
         cokahler_mapping_torus(CoKaehlerData(
             data.h, data.eta, data.xi, data.Phi, data.metric, data.D, 0))
+
+
+R3 = parse_salamon("0,0,0", name="R3")  # every matrix is a derivation of it
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"eta": parse_form(QQ, 3, "2*e3")}, "cK1: eta(xi) = 2"),
+    ({"metric": mat(QQ, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])},
+     "cK3: g(Phi x, Phi y) != g(x,y) - eta(x)eta(y)"),
+    # [e_3, e_1] = e_1 and [e_3, e_2] = -e_2 keep eta and omega closed but
+    # do not commute with Phi
+    ({"h": parse_salamon("13,-23,0")}, "cK5: normality fails on (e_1, e_3)"),
+    ({"h": R3, "D": mat(QQ, [["1/2", 0, 0], [0, "1/2", 0], [1, 0, 0]])}, "D eta != 0"),
+    # g = eta (x) eta makes omega = 0, which every D rescales; D = ad_{e_1}
+    # is a derivation with D xi = -e_2
+    ({"metric": mat(QQ, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+      "D": mat(QQ, [[0, 0, 0], [0, 0, -1], [0, 0, 0]])}, "D xi != 0"),
+    ({"h": R3, "D": mat(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])}, "D Phi != Phi D"),
+], ids=["cK1", "cK3", "cK5", "D-eta", "D-xi", "D-Phi"])
+def test_cokahler_rejection_messages(changes, message):
+    data = cok3_data()
+    for key, value in changes.items():
+        setattr(data, key, value)
+    with pytest.raises(LckError, match=f"^{re.escape(message)}$"):
+        cokahler_mapping_torus(data)
 
 
 def test_cokahler_rejects_eta_not_closed():

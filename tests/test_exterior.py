@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lckverify import linalg
 from lckverify.errors import LckError, ParseError
 from lckverify.exterior import KForm, basis_tuples, interior_product, parse_form, wedge
 from lckverify.scalars import QQ, ScalarField
@@ -93,6 +94,36 @@ def test_evaluation_on_vectors():
     assert omega(e1, e1).is_zero()
 
 
+def seeded_form(rng, field, dim, degree, texts):
+    """About half of the basis forms, each with a coefficient from `texts`."""
+    return KForm(field, dim, degree, {idx: field.parse(rng.choice(texts))
+                                      for idx in basis_tuples(dim, degree)
+                                      if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("field, texts", [
+    (QQ, ["1", "-2", "3/4", "-5/3"]),
+    (ScalarField(("a", "b")), ["1", "-3/4", "a", "a*b - 1", "(a^2 + 1)/b", "1/(a - b)"]),
+], ids=["QQ", "Qab"])
+def test_coordinates_are_values_on_the_basis(field, texts):
+    """vector() and matrix() agree with evaluation on basis vectors, and
+    from_matrix reads matrix() back."""
+    rng = random.Random(7)
+    e = linalg.identity(field, 5)
+    for _ in range(10):
+        theta = seeded_form(rng, field, 5, 1, texts)
+        omega = seeded_form(rng, field, 5, 2, texts)
+        assert theta.vector() == [theta(ei) for ei in e]
+        assert omega.matrix() == [[omega(ea, eb) for eb in e] for ea in e]
+        assert KForm.from_matrix(field, omega.matrix()) == omega
+    for form in (omega, KForm.basis(field, 5, (1, 2, 3)), KForm(field, 5, 0, {(): field.one()})):
+        with pytest.raises(LckError, match=f"^{form.degree}-form applied to 1 vectors$"):
+            form.vector()
+    for form in (theta, KForm.basis(field, 5, (1, 2, 3))):
+        with pytest.raises(LckError, match=f"^{form.degree}-form applied to 2 vectors$"):
+            form.matrix()
+
+
 def test_dimension_mismatch():
     with pytest.raises(LckError, match="forms of dimension 4 and 3 do not combine"):
         wedge(e(1), KForm.basis(QQ, 3, (1,)))
@@ -108,6 +139,8 @@ def test_parse_form_syntax():
     rational = parse_form(F, 4, "(t4^2-1)/t4*e13")
     assert rational.coeffs[(1, 3)] == F.parse("(t4^2-1)/t4")
     assert parse_form(F, 4, "0", degree=2).is_zero()
+    zero = parse_form(F, 4, "0*e12", degree=1)
+    assert zero.degree == 1 and zero.vector() == [F.zero()] * 4
 
 
 def test_parse_form_rejects_bad_input():

@@ -7,14 +7,18 @@
 - Every exception class but `LckError` is caught somewhere in the
   package; a failure that no caller tells apart is an `LckError` whose
   message names it.
+- Every function the benchmark's tracer wraps still exists.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "lckverify").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "lckverify").glob("*.py"))
 
 
 def _tree(path):
@@ -81,3 +85,19 @@ def test_every_exception_class_but_the_base_is_caught():
 def test_no_assert_statement(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert lines == [], f"assert statements at lines {lines}"
+
+
+def test_every_traced_function_exists(monkeypatch):
+    """bench/tracing.py, loaded read-only, resolves each of its SPANS to an
+    attribute defined on its module or class, as `Tracer.start` needs."""
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays untouched
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, (module, path) in tracing.SPANS.items():
+        owner, attr = tracing._resolve(importlib.import_module(f"lckverify.{module}"), path)
+        if attr not in vars(owner):
+            missing.append(name)
+    assert missing == []

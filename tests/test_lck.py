@@ -100,6 +100,16 @@ def test_failing_positivity_names_the_first_nonpositive_minor():
             assert (False, c.residual) == sylvester_reference(s.metric, c.witness)
 
 
+def test_failing_j_invariance_names_its_residual():
+    """The residual of a failing `j_invariant` record is the 2-form
+    Omega(P., P.) - Omega; a passing one has none."""
+    [record] = [c for c in verify_lck(rh3_structure(omega="s*e12+s*e34+e13")).checks
+                if c.check == "j_invariant"]
+    assert not record.passed
+    assert record.residual == "-e13 + e24"  # P e_1 = e_2, P e_3 = e_4
+    assert all(c.residual == "" for c in verify_lck(rh3_structure()).checks)
+
+
 def test_lee_form_examples():
     F = ScalarField(("s",))
     g = parse_salamon("0,0,-12,0", field=F)
@@ -158,6 +168,18 @@ def test_vaisman_theta_zero():
     s.theta = KForm.zero(s.algebra.field, 4, 1)
     with pytest.raises(LckError, match="theta vanishes at the witness"):
         vaisman_test(s, {"s": Fraction(1)})
+
+
+def test_vaisman_degenerate_metric_is_an_lck_error():
+    """A singular metric, or theta(G^-1 theta) = 0, at the witness is an
+    LckError, never a ZeroDivisionError."""
+    w = {"s": Fraction(1)}
+    # G = diag(s, s, 0, 0) and theta = -e4: G x = theta has no solution
+    with pytest.raises(LckError, match="^system has no solution$"):
+        vaisman_test(rh3_structure(omega="s*e12"), w)
+    # G = diag(s, s, -s, -s) and theta = e1 + e3: x = (e1 - e3)/s, theta(x) = 0
+    with pytest.raises(LckError, match=r"^theta\(G\^-1 theta\) = 0 at the witness$"):
+        vaisman_test(rh3_structure(theta="e1+e3", omega="s*e12-s*e34"), w)
 
 
 def test_vaisman_d4_lambda_rows_never():
