@@ -8,11 +8,17 @@ output instead of trusting the recipe and raises LckError (also under
     with rho valued in skew matrices commuting with the fiber rotation.
     The output carries theta' extending theta by zero and
     Omega' = Omega + sum u^i ^ v^i.
-  * `ot_algebra`: the solvable algebras underlying the classical
-    non-Kaehler solvmanifold family with brackets [x_i,y_i] = y_i,
-    [x_i,z_1] = -z_1/2 + c_i z_2, [x_i,z_2] = -c_i z_1 - z_2/2.
+  * `ot_algebra`: the extension of aff(R)^n by rho(x_i) = c_i J0 on R^2;
+    its brackets [x_i,y_i] = y_i, [x_i,z_1] = -z_1/2 + c_i z_2 and
+    [x_i,z_2] = -c_i z_1 - z_2/2 are those of Oeljeklaus-Toma manifolds
+    of type (n, 1).
   * `cokahler_mapping_torus`: h x|_D R for a coKaehler (eta, xi, Phi, g)
     and a derivation rescaling the cosymplectic 2-form.
+
+Both semidirect products check the Jacobi identity of their output
+first.  It holds exactly when the base is a Lie algebra and pi is a
+representation (D a derivation), so the law itself is evaluated only to
+name a failure.
 
 Conventions: the fiber pairing fixes J0 u_i = v_i and omega_0 = sum
 u^i ^ v^i.  The mapping torus uses the fundamental form g(Phi _, _),
@@ -37,12 +43,6 @@ from .liealg import LieAlgebra
 from .scalars import QQ, Scalar
 
 
-def _jacobi_checked(g):
-    if not g.jacobi_holds():
-        raise LckError(f"{g.name} fails the Jacobi identity")
-    return g
-
-
 def _checked(g, s, what):
     """(g, s), once J is integrable and s passes every lcK check."""
     if not is_complex_structure(g, s.J):
@@ -51,6 +51,11 @@ def _checked(g, s, what):
     if not report.passed:
         raise LckError(f"{what} fails lcK checks: {report.failures()}")
     return g, s
+
+
+def _check_square(matrix, size, what):
+    if len(matrix) != size or any(len(row) != size for row in matrix):
+        raise LckError(f"{what} is not a {size} x {size} matrix")
 
 
 def _combination(field, coeffs, matrices, size):
@@ -65,12 +70,11 @@ def _combination(field, coeffs, matrices, size):
 def _is_derivation(g, D):
     """D[x,y] = [Dx,y] + [x,Dy] on basis pairs."""
     e = linalg.identity(g.field, g.dim)
-    for i, j in basis_tuples(g.dim, 2):
-        ei, ej = e[i - 1], e[j - 1]
-        lhs = linalg.mat_vec(D, g.bracket(ei, ej))
-        rhs = [a + b for a, b in zip(g.bracket(linalg.mat_vec(D, ei), ej),
-                                     g.bracket(ei, linalg.mat_vec(D, ej)))]
-        if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+    De = linalg.transpose(D)  # De[i] = D e_{i+1}
+    for (i, j), bracket in g.bracket_table().items():
+        rhs = [a + b for a, b in zip(g.bracket(De[i - 1], e[j - 1]),
+                                     g.bracket(e[i - 1], De[j - 1]))]
+        if linalg.mat_vec(D, bracket) != rhs:
             return False
     return True
 
@@ -78,49 +82,54 @@ def _is_derivation(g, D):
 def extension_by_derivation(base, D):
     """base x|_D R: the new generator e_{n+1} acts by [e_{n+1}, x] = Dx.
 
-    Raises LckError unless the matrix D is a derivation of the base.
+    Raises LckError unless D is an n x n derivation of the base.
     """
-    if not _is_derivation(base, D):
-        raise LckError("matrix is not a derivation of the base")
     field = base.field
     n = base.dim
+    _check_square(D, n, "D")
     brackets = {key: list(vec) + [field.zero()]
-                for key, vec in base.bracket_table().items()}
+                for key, vec in base.bracket_table().items() if any(vec)}
     for j in range(1, n + 1):
         # [e_{n+1}, e_j] = D e_j, stored as [e_j, e_{n+1}] = -D e_j
         brackets[(j, n + 1)] = [-D[t][j - 1] for t in range(n)] + [field.zero()]
-    return _jacobi_checked(LieAlgebra.from_structure_constants(
-        field, n + 1, brackets, name=f"{base.name}:xR"))
+    g = LieAlgebra.from_structure_constants(field, n + 1, brackets, name=f"{base.name}:xR")
+    if not g.jacobi_holds():
+        if not _is_derivation(base, D):
+            raise LckError("matrix is not a derivation of the base")
+        raise LckError(f"{g.name} fails the Jacobi identity")
+    return g
 
 
 def extension_by_representation(base, pi):
     """base |x V on an abelian fiber V, where e_i acts on V by pi[i - 1].
 
-    Raises LckError unless there is one fiber matrix per base basis
-    vector and pi([x, y]) = [pi(x), pi(y)].
+    Raises LckError unless there is one fiber matrix per base basis vector,
+    all square of one size, and pi([x, y]) = [pi(x), pi(y)].
     """
     field = base.field
     n = base.dim
     if len(pi) != n:
         raise LckError("need one fiber matrix per base basis vector")
     fiber = len(pi[0])
-    e = linalg.identity(field, n)
-    for i, j in basis_tuples(n, 2):
-        lhs = _combination(field, base.bracket(e[i - 1], e[j - 1]), pi, fiber)
-        comm = linalg.mat_sub(linalg.mat_mul(pi[i - 1], pi[j - 1]),
-                              linalg.mat_mul(pi[j - 1], pi[i - 1]))
-        if not linalg.mat_eq(lhs, comm):
-            raise LckError(f"pi([e_{i},e_{j}]) != [pi(e_{i}),pi(e_{j})]")
-
+    for k, m in enumerate(pi):
+        _check_square(m, fiber, f"pi(e_{k + 1})")
     brackets = {key: list(vec) + [field.zero()] * fiber
-                for key, vec in base.bracket_table().items()}
+                for key, vec in base.bracket_table().items() if any(vec)}
     for i in range(1, n + 1):
         for b in range(fiber):
             # [e_i, v_b] = pi(e_i) v_b
             brackets[(i, n + b + 1)] = ([field.zero()] * n
                                         + [pi[i - 1][a][b] for a in range(fiber)])
-    return _jacobi_checked(LieAlgebra.from_structure_constants(
-        field, n + fiber, brackets, name=f"{base.name}:xV{fiber}"))
+    g = LieAlgebra.from_structure_constants(field, n + fiber, brackets,
+                                            name=f"{base.name}:xV{fiber}")
+    if not g.jacobi_holds():
+        for (i, j), bracket in base.bracket_table().items():
+            comm = linalg.mat_sub(linalg.mat_mul(pi[i - 1], pi[j - 1]),
+                                  linalg.mat_mul(pi[j - 1], pi[i - 1]))
+            if not linalg.mat_eq(_combination(field, bracket, pi, fiber), comm):
+                raise LckError(f"pi([e_{i},e_{j}]) != [pi(e_{i}),pi(e_{j})]")
+        raise LckError(f"{g.name} fails the Jacobi identity")
+    return g
 
 
 @dataclass
@@ -153,17 +162,17 @@ def _check_extension_spec(spec):
         raise LckError("need one rho matrix per base basis vector")
     J0 = _fiber_rotation(field, n2)
     for k, m in enumerate(spec.rho):
+        _check_square(m, n2, f"rho(e_{k + 1})")
         if not linalg.mat_eq(linalg.transpose(m), linalg.mat_neg(m)):
             raise LckError(f"rho(e_{k + 1}) is not skew-symmetric")
         if not linalg.mat_eq(linalg.mat_mul(m, J0), linalg.mat_mul(J0, m)):
             raise LckError(f"rho(e_{k + 1}) does not commute with the fiber rotation")
     # rho must kill the commutator ideal (it takes values in an abelian
-    # subalgebra); checked directly on brackets of basis vectors
-    e = linalg.identity(field, g.dim)
-    for i, j in basis_tuples(g.dim, 2):
-        image = _combination(field, g.bracket(e[i - 1], e[j - 1]), spec.rho, n2)
-        if not linalg.is_zero_matrix(image):
-            raise LckError("rho does not vanish on the commutator ideal")
+    # subalgebra): every [e_i, e_j] times the rho matrices, flattened, is 0
+    brackets = [vec for vec in g.bracket_table().values() if any(vec)]
+    flat = [[x for row in m for x in row] for m in spec.rho]
+    if brackets and not linalg.is_zero_matrix(linalg.mat_mul(brackets, flat)):
+        raise LckError("rho does not vanish on the commutator ideal")
 
 
 def extension_pi(spec):
@@ -172,11 +181,8 @@ def extension_pi(spec):
     field = spec.base.algebra.field
     n2 = spec.fiber_dim
     half = field.scalar(Fraction(1, 2))
-    matrices = []
-    for tk, rho_k in zip(spec.base.theta.vector(), spec.rho):
-        matrices.append([[rho_k[a][b] - (half * tk if a == b else field.zero())
-                          for b in range(n2)] for a in range(n2)])
-    return matrices
+    return [[[rho_k[a][b] - (half * tk if a == b else field.zero()) for b in range(n2)]
+             for a in range(n2)] for tk, rho_k in zip(spec.base.theta.vector(), spec.rho)]
 
 
 def lck_extension(spec):
@@ -238,84 +244,44 @@ def unimodularity_check(spec):
 
 
 def aff_block_algebra(field, n, name="aff^n"):
-    """[e_i, f_i] = f_i in the basis (e_1, f_1, ..., e_n, f_n)."""
-    dim = 2 * n
-    brackets = {}
-    for i in range(n):
-        col = [field.zero()] * dim
-        col[2 * i + 1] = field.one()
-        brackets[(2 * i + 1, 2 * i + 2)] = col
-    return LieAlgebra.from_structure_constants(field, dim, brackets, name=name)
+    """[x_i, y_i] = y_i in the basis (x_1, ..., x_n, y_1, ..., y_n)."""
+    e = linalg.identity(field, 2 * n)
+    return LieAlgebra.from_structure_constants(
+        field, 2 * n, {(i + 1, n + i + 1): e[n + i] for i in range(n)}, name=name)
 
 
 def aff_block_lck(field, n):
-    """The lcK structure theta = sum e^i, omega = 2 sum e^i^f^i + sum_{i!=j} e^i^f^j."""
+    """The lcK structure theta = sum x^i, Omega = sum_{i,j} (1 + delta_ij) x^i ^ y^j,
+    J x_i = y_i on aff(R)^n."""
     g = aff_block_algebra(field, n)
     dim = 2 * n
-    theta = KForm(field, dim, 1, {(2 * i + 1,): field.one() for i in range(n)})
-    W = [[field.zero()] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            W[2 * i][2 * j + 1] = field.scalar(2 if i == j else 1)  # Omega(e_i, f_j)
-            W[2 * j + 1][2 * i] = -W[2 * i][2 * j + 1]
-    omega = KForm.from_matrix(field, W)
-    # the J e_i = f_i pairing
-    J = ComplexStructure(g, minus_transpose(_fiber_rotation(field, dim)), name="J")
+    theta = KForm(field, dim, 1, {(i + 1,): field.one() for i in range(n)})
+    omega = KForm(field, dim, 2, {(i + 1, n + j + 1): field.scalar(2 if i == j else 1)
+                                  for i in range(n) for j in range(n)})
+    e = linalg.identity(field, dim)
+    # J x_i = y_i: P = [[0, -I], [I, 0]] is its own dual matrix -P^T
+    J = ComplexStructure(g, linalg.mat_neg(e[n:]) + e[:n], name="J")
     return LcKStructure(g, J, theta, omega, constraints=[], witnesses=[{}],
                         name=f"aff^{n}")
 
 
 def ot_algebra(n, c, field=None):
     """The (2n+2)-dimensional algebra in the basis (x_1..x_n, y_1..y_n, z_1, z_2)
-    with its lcK structure; unimodular for every choice of the rationals c.
-
-    Jacobi, integrability, the lcK checks and unimodularity are checked on
-    the output; LckError is raised if one fails."""
+    with its lcK structure: `lck_extension` of aff(R)^n by rho(x_i) = c_i J0,
+    rho(y_i) = 0, so pi(x_i) = -Id/2 + c_i J0.  Unimodular for every choice
+    of the speeds c; LckError is raised if that or a check of the extension fails."""
     field = field or QQ
     if len(c) != n:
         raise LckError(f"need {n} rotation speeds, got {len(c)}")
+    if n < 1:
+        raise LckError(f"ot({n}) needs n >= 1")
     c = [x if isinstance(x, Scalar) else field.scalar(Fraction(x)) for x in c]
-    dim = 2 * n + 2
-    half = field.scalar(Fraction(1, 2))
-    brackets = {}
-    for i in range(n):
-        xi, yi = i + 1, n + i + 1
-        col = [field.zero()] * dim
-        col[yi - 1] = field.one()
-        brackets[(xi, yi)] = col  # [x_i, y_i] = y_i
-        z1, z2 = 2 * n + 1, 2 * n + 2
-        col1 = [field.zero()] * dim
-        col1[z1 - 1] = -half
-        col1[z2 - 1] = c[i]
-        brackets[(xi, z1)] = col1  # [x_i, z_1] = -z_1/2 + c_i z_2
-        col2 = [field.zero()] * dim
-        col2[z1 - 1] = -c[i]
-        col2[z2 - 1] = -half
-        brackets[(xi, z2)] = col2  # [x_i, z_2] = -c_i z_1 - z_2/2
-    g = _jacobi_checked(
-        LieAlgebra.from_structure_constants(field, dim, brackets, name=f"ot({n})"))
-
-    theta = KForm(field, dim, 1, {(i + 1,): field.one() for i in range(n)})
-    coeffs = {(2 * n + 1, 2 * n + 2): field.one()}
-    for i in range(n):
-        for j in range(n):
-            coeffs[(i + 1, n + j + 1)] = field.scalar(2 if i == j else 1)
-    omega = KForm(field, dim, 2, coeffs)
-
-    # J x_i = y_i, J z_1 = z_2 (primal), stored dually
-    P = [[field.zero()] * dim for _ in range(dim)]
-    for i in range(n):
-        P[n + i][i] = field.one()
-        P[i][n + i] = -field.one()
-    P[2 * n + 1][2 * n] = field.one()
-    P[2 * n][2 * n + 1] = -field.one()
-    J = ComplexStructure(g, minus_transpose(P), name="J")
-
-    s = LcKStructure(g, J, theta, omega, constraints=[], witnesses=[{}],
-                     name=f"ot({n})")
-    _checked(g, s, f"ot({n})")
+    z = field.zero()
+    rho = [[[z, -ci], [ci, z]] for ci in c] + [[[z, z], [z, z]]] * n  # c_i J0, then 0
+    g, s = lck_extension(LcKExtensionSpec(aff_block_lck(field, n), 2, rho, name=f"ot({n})"))
+    g.name = f"ot({n})"
     if not all(g.unimodular_character(ek).is_zero()
-               for ek in linalg.identity(field, dim)):
+               for ek in linalg.identity(field, g.dim)):
         raise LckError(f"ot({n}) is not unimodular")
     return g, s
 

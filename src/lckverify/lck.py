@@ -148,7 +148,10 @@ def vaisman_vector(s, assignment):
     if all(c.is_zero() for c in theta):
         raise LckError("theta vanishes at the witness")
     Gq = matrix_at(s.metric, assignment)
-    x = linalg.solve(Gq, theta)
+    try:
+        x = linalg.solve(Gq, theta)
+    except LckError:
+        raise LckError("metric is singular at the witness") from None
     [length] = linalg.mat_vec([theta], x)
     if length.is_zero():
         raise LckError("theta(G^-1 theta) = 0 at the witness")

@@ -53,7 +53,8 @@ def mat_sub(a, b):
 
 
 def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def is_zero_matrix(a):

@@ -154,8 +154,13 @@ def test_math_failure_exits_1_with_its_message(capsys):
 
 def test_ot_subcommand(capsys):
     assert run(["ot", "--n", "2", "--c", "1,2"]) == 0
-    out = capsys.readouterr().out
-    assert "not_vaisman" in out
+    assert capsys.readouterr().out == (
+        "[PASS] algebra  LieAlgebra(ot(2): 0, 0, -e13, -e24, "
+        "1/2*e15 + e16 + 1/2*e25 + 2*e26, -e15 + 1/2*e16 - 2*e25 + 1/2*e26)\n"
+        "[PASS] theta  e1 + e2\n"
+        "[PASS] omega  2*e13 + e14 + e23 + 2*e24 + e56\n"
+        "[PASS] not_vaisman\n"
+        "4 passed, 0 failed\n")
 
 
 def test_extend_subcommand(capsys):
@@ -228,6 +233,6 @@ def test_singular_metric_at_a_witness_is_a_failing_record(tmp_path, capsys):
     assert err == ""
     assert [line for line in out.splitlines() if not line.startswith("[PASS]")] == [
         "[FAIL] rh3/lck:main/positive@1  residual: minor 1 = 0  at {s=0}",
-        "[FAIL] rh3/lck:main/vaisman@1  residual: LckError: system has no solution  at {s=0}",
+        "[FAIL] rh3/lck:main/vaisman@1  residual: LckError: metric is singular at the witness  at {s=0}",
         "18 passed, 2 failed",
     ]

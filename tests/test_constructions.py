@@ -26,7 +26,7 @@ from lckverify.constructions import (
     unimodularity_check,
 )
 from lckverify.errors import LckError
-from lckverify.exterior import basis_tuples, parse_form
+from lckverify.exterior import KForm, basis_tuples, parse_form
 from lckverify.lck import CheckRecord, LckReport, vaisman_test, verify_lck
 from lckverify.liealg import LieAlgebra, parse_salamon
 from lckverify.scalars import QQ, ScalarField
@@ -67,6 +67,51 @@ def test_extension_rejects_non_derivation():
         extension_by_derivation(g, bad)
 
 
+NON_LIE = parse_salamon("0,-12,-13,-23", name="bad")  # d(de^4) = 2 e123
+
+
+def test_extensions_of_a_non_lie_base_fail_jacobi():
+    zero2 = [[QQ.zero()] * 2 for _ in range(2)]
+    with pytest.raises(LckError, match=r"^bad:xV2 fails the Jacobi identity$"):
+        extension_by_representation(NON_LIE, [zero2] * 4)
+    with pytest.raises(LckError, match=r"^bad:xR fails the Jacobi identity$"):
+        extension_by_derivation(NON_LIE, [[QQ.zero()] * 4 for _ in range(4)])
+
+
+def test_extensions_reject_wrongly_sized_matrices():
+    g = parse_salamon("0,0,-12,0")
+    with pytest.raises(LckError, match=r"^D is not a 4 x 4 matrix$"):
+        extension_by_derivation(g, linalg.identity(QQ, 3))
+    with pytest.raises(LckError, match=r"^D is not a 4 x 4 matrix$"):
+        extension_by_derivation(g, [row[:3] for row in linalg.identity(QQ, 4)])
+    z2, z3 = linalg.identity(QQ, 2), linalg.identity(QQ, 3)
+    with pytest.raises(LckError, match=r"^pi\(e_3\) is not a 2 x 2 matrix$"):
+        extension_by_representation(g, [z2, z2, z3, z2])
+    with pytest.raises(LckError, match=r"^pi\(e_1\) is not a 2 x 2 matrix$"):
+        extension_by_representation(g, [[row + [QQ.zero()] for row in z2], z2, z2, z2])
+    spec = ot_extension_spec(symbolic=False)
+    spec.rho[3] = [[QQ.zero()] * 4 for _ in range(4)]
+    with pytest.raises(LckError, match=r"^rho\(e_4\) is not a 2 x 2 matrix$"):
+        lck_extension(spec)
+    data = cok3_data()
+    data.D = linalg.identity(QQ, 2)
+    with pytest.raises(LckError, match=r"^D is not a 3 x 3 matrix$"):
+        cokahler_mapping_torus(data)
+
+
+def test_semidirect_laws_are_not_evaluated_on_valid_input(monkeypatch):
+    """The Jacobi identity of the output stands for the representation and
+    derivation laws, which are evaluated only to name a failure."""
+    def refuse(*args):
+        raise RuntimeError("a semidirect law was evaluated on valid input")
+
+    monkeypatch.setattr(constructions, "_combination", refuse)
+    monkeypatch.setattr(constructions, "_is_derivation", refuse)
+    ot_algebra(5, [1, 2, 3, 4, 5])
+    lck_extension(ot_extension_spec())
+    cokahler_mapping_torus(cok3_data())
+
+
 def test_representation_mode_rejects_non_representation():
     g = parse_salamon("0,0,-12,0")  # [e1,e2] = e3
     z = [[QQ.zero()] * 2 for _ in range(2)]
@@ -92,7 +137,7 @@ def ot_extension_spec(symbolic=True):
     z = F.zero()
     rot = lambda c: [[z, -c], [c, z]]
     zero = [[z, z], [z, z]]
-    return LcKExtensionSpec(base, 2, [rot(c1), zero, rot(c2), zero],
+    return LcKExtensionSpec(base, 2, [rot(c1), rot(c2), zero, zero],
                             name="ot-ext", extra_witnesses=witnesses)
 
 
@@ -134,6 +179,10 @@ def test_lck_extension_rejects_bad_rho():
     zero4 = [[F.zero()] * 4 for _ in range(4)]
     with pytest.raises(LckError, match=r"rho\(e_1\) does not commute with the fiber rotation"):
         lck_extension(LcKExtensionSpec(base4, 4, [skew_non_commuting, zero4]))
+    # [x, y] = y, and rho(y) = J0 is skew and commutes with J0 but is not 0
+    J0 = mat(F, [[0, -1], [1, 0]])
+    with pytest.raises(LckError, match="^rho does not vanish on the commutator ideal$"):
+        lck_extension(LcKExtensionSpec(base, 2, [zero, J0]))
 
 
 def test_unimodularity_check_ot_base():
@@ -219,45 +268,70 @@ def test_ot_algebra(n, c):
 
 
 def test_ot_matches_aff_extension_under_phi():
-    """The explicit basis change identifies the extension with the standard
-    presentation: brackets, J, theta, Omega all transported exactly."""
-    spec = ot_extension_spec(symbolic=False)
-    g_ext, ext = lck_extension(spec)
+    """The extension of aff(R)^2 by rho(x_i) = c_i J0 is ot(2) with phi the
+    identity: brackets, J, theta and Omega agree in the basis
+    (x_1, x_2, y_1, y_2, z_1, z_2)."""
+    g_ext, ext = lck_extension(ot_extension_spec(symbolic=False))
     g_ot, ot = ot_algebra(2, [1, 2])
+    assert g_ext.d_coframe == g_ot.d_coframe
+    assert ext.J.dual == ot.J.dual
+    assert (ext.theta, ext.omega) == (ot.theta, ot.omega)
 
-    # phi maps the standard basis (x1, x2, y1, y2, z1, z2) to the extension
-    # basis (e1, f1, e2, f2, u1, u2): x_i -> e_i, y_i -> f_i, z_i -> u_i
-    perm = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 6}
-    phi = [[QQ.one() if perm[j] == i else QQ.zero() for j in range(1, 7)]
-           for i in range(1, 7)]
 
-    # brackets
-    for i, j in basis_tuples(6, 2):
-        vi = [phi[t][i - 1] for t in range(6)]
-        vj = [phi[t][j - 1] for t in range(6)]
-        ei = [QQ.one() if t == i - 1 else QQ.zero() for t in range(6)]
-        ej = [QQ.one() if t == j - 1 else QQ.zero() for t in range(6)]
-        lhs = g_ext.bracket(vi, vj)
-        rhs = linalg.mat_vec(phi, g_ot.bracket(ei, ej))
-        assert lhs == rhs, (i, j)
+def _ot_oracle(field, n, c):
+    """ot(n) written out: [e_a, e_b] for a < b, P on vectors, theta, Omega."""
+    dim = 2 * n + 2
+    e = linalg.identity(field, dim)
+    x, y, z1, z2 = e[:n], e[n:2 * n], e[2 * n], e[2 * n + 1]
+    half = field.scalar(Fraction(1, 2))
 
-    # tensors: pull the extension data back along phi and compare
-    from lckverify.hermitian import coframe_substitution, dual_to_primal
+    def combination(a, u, b, v):  # a u + b v
+        return [a * p + b * q for p, q in zip(u, v)]
 
-    phi_t = linalg.transpose(phi)
-    assert coframe_substitution(phi_t, ext.theta) == ot.theta
-    assert coframe_substitution(phi_t, ext.omega) == ot.omega
-    P_ext = dual_to_primal(ext.J)
-    P_back = linalg.mat_mul(linalg.inverse(phi), linalg.mat_mul(P_ext, phi))
-    assert linalg.mat_eq(P_back, dual_to_primal(ot.J))
+    brackets = {key: [field.zero()] * dim for key in basis_tuples(dim, 2)}
+    for i in range(n):
+        brackets[(i + 1, n + i + 1)] = y[i]  # [x_i, y_i] = y_i
+        brackets[(i + 1, dim - 1)] = combination(-half, z1, c[i], z2)
+        brackets[(i + 1, dim)] = combination(-c[i], z1, -half, z2)
+    images = y + [[-t for t in v] for v in x] + [z2, [-t for t in z1]]  # P e_1, ..., P e_dim
+    theta = sum((KForm.basis(field, dim, (i + 1,)) for i in range(n)),
+                KForm.zero(field, dim, 1))
+    omega = sum((KForm.basis(field, dim, (i + 1, n + j + 1), 2 if i == j else 1)
+                 for i in range(n) for j in range(n)), KForm.basis(field, dim, (dim - 1, dim)))
+    return brackets, linalg.transpose(images), theta, omega
+
+
+def _seeded_speeds(n, seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (2, "Q(c1,c2)")])
+def test_ot_matches_the_written_out_formulas(n, seed):
+    """[x_i, y_j] = delta_ij y_j, [x_i, z_1] = -z_1/2 + c_i z_2,
+    [x_i, z_2] = -c_i z_1 - z_2/2 and all other brackets 0; J x_i = y_i,
+    J z_1 = z_2; theta = sum x^i, Omega = sum (1 + delta_ij) x^i ^ y^j + z^1 ^ z^2."""
+    if seed == "Q(c1,c2)":
+        field = ScalarField(("c1", "c2"))
+        c = [field.var("c1"), field.var("c2")]
+    else:
+        field, c = QQ, [QQ.scalar(x) for x in _seeded_speeds(n, seed)]
+    g, s = ot_algebra(n, c, field)
+    brackets, P, theta, omega = _ot_oracle(field, n, c)
+    e = linalg.identity(field, 2 * n + 2)
+    for (a, b), expected in brackets.items():
+        assert g.bracket(e[a - 1], e[b - 1]) == expected, (a, b)
+    assert s.J.P == P
+    assert (s.theta, s.omega) == (theta, omega)
+    assert g.name == s.name == f"ot({n})"
+    assert str(g).startswith(f"LieAlgebra(ot({n}): ")
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2)])
 def test_ot_brackets_carry_the_speeds(n, seed):
     """[x_i, z_1] = -z_1/2 + c_i z_2 and [x_i, z_2] = -c_i z_1 - z_2/2 for
     seeded rational speeds c, and other speeds give other structure equations."""
-    rng = random.Random(seed)
-    c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    c = _seeded_speeds(n, seed)
     g, _ = ot_algebra(n, c)
     e = linalg.identity(QQ, 2 * n + 2)
     z1, z2 = e[2 * n], e[2 * n + 1]
@@ -270,6 +344,16 @@ def test_ot_brackets_carry_the_speeds(n, seed):
         assert g.bracket(e[i], z2) == combination(-c[i], Fraction(-1, 2)), i
     other, _ = ot_algebra(n, [x + 1 for x in c])
     assert other.d_coframe != g.d_coframe
+
+
+@pytest.mark.parametrize("n, c, message", [
+    (2, [1], "need 2 rotation speeds, got 1"),
+    (-1, [], "need -1 rotation speeds, got 0"),
+    (0, [], "ot(0) needs n >= 1"),  # theta = sum x^i would vanish
+])
+def test_ot_rejects_bad_speed_counts(n, c, message):
+    with pytest.raises(LckError, match=f"^{re.escape(message)}$"):
+        ot_algebra(n, c)
 
 
 def test_ot_theta_closed_for_any_n():

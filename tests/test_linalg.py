@@ -166,3 +166,10 @@ def test_positivity_computes_no_determinant(monkeypatch):
     positive = sylvester_positive(s.metric, {})
     assert calls == []
     assert positive == (True, "")
+
+
+def test_mat_eq_compares_shapes():
+    assert linalg.mat_eq(linalg.identity(QQ, 2), linalg.identity(QQ, 2))
+    assert not linalg.mat_eq(linalg.identity(QQ, 2), linalg.identity(QQ, 3))
+    assert not linalg.mat_eq(linalg.identity(QQ, 3), linalg.identity(QQ, 2))
+    assert not linalg.mat_eq([[QQ.one(), QQ.zero()]], [[QQ.one(), QQ.zero(), QQ.zero()]])
