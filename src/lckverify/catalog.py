@@ -43,17 +43,6 @@ from .solver import (
 
 SCHEMA_VERSION = 1
 
-_COMPARATORS = (">=", "<=", "!=", ">", "<", "=")
-
-
-def parse_constraint(field, text):
-    for op in _COMPARATORS:
-        if op in text:
-            lhs, rhs = text.split(op, 1)
-            expr = field.parse(lhs) - field.parse(rhs)
-            return Constraint(expr, op)
-    raise SchemaError(text, "constraint needs one of " + " ".join(_COMPARATORS))
-
 
 def _fractions(d):
     return {k: Fraction(v) for k, v in d.items()}
@@ -72,7 +61,7 @@ class AutRecord:
     name: str
     matrix: list
     params: list = dataclass_field(default_factory=list)
-    constraints: list = dataclass_field(default_factory=list)
+    constraints: list = dataclass_field(default_factory=list)  # Constraints once loaded
     samples: list = dataclass_field(default_factory=list)
     J: str = ""
     note: str = ""
@@ -85,9 +74,9 @@ class FamilyRecord:
     theta: str
     omega: str
     params: list = dataclass_field(default_factory=list)
-    constraints: list = dataclass_field(default_factory=list)
+    constraints: list = dataclass_field(default_factory=list)  # Constraints once loaded
     witnesses: list = dataclass_field(default_factory=list)
-    vaisman: object = "never"  # "always" | "never" | {"iff": [...]}
+    vaisman: object = "never"  # "always" | "never" | {"iff": [constraints]}
     vaisman_vector: str = ""
     note: str = ""
 
@@ -135,7 +124,7 @@ class CatalogEntry:
     id: str
     salamon: str
     params: list = dataclass_field(default_factory=list)
-    param_constraints: list = dataclass_field(default_factory=list)
+    param_constraints: list = dataclass_field(default_factory=list)  # Constraints once loaded
     center_witness: dict = dataclass_field(default_factory=dict)
     center_basis: list = None
     complex_structures: list = dataclass_field(default_factory=list)
@@ -151,12 +140,13 @@ class CatalogEntry:
 
     # -- builders ---------------------------------------------------------
 
+    def names(self, *groups):
+        """The params, then the new names of each group."""
+        return tuple(dict.fromkeys(chain(self.params, *groups)))
+
     def algebra(self, *groups):
-        """The algebra over QQ(params, then the new names of each group),
-        parsed once per name list."""
-        names = list(self.params)
-        names += [p for p in dict.fromkeys(chain(*groups)) if p not in names]
-        key = (None, tuple(names))
+        """The algebra over QQ(`names(*groups)`), parsed once per name list."""
+        key = (None, self.names(*groups))
         if key not in self._built:
             self._built[key] = parse_salamon(self.salamon, field=ScalarField(key[1]),
                                              name=self.id)
@@ -190,10 +180,9 @@ class CatalogEntry:
         if key not in self._built:
             theta = parse_form(field, g.dim, fam.theta, degree=1)
             omega = parse_form(field, g.dim, fam.omega, degree=2)
-            constraints = [parse_constraint(field, c) for c in fam.constraints]
             witnesses = [_fractions(w) for w in fam.witnesses]
-            self._built[key] = LcKStructure(g, J, theta, omega, constraints, witnesses,
-                                            name=f"{self.id}/{fam.name}")
+            self._built[key] = LcKStructure(g, J, theta, omega, list(fam.constraints),
+                                            witnesses, name=f"{self.id}/{fam.name}")
         return self._built[key]
 
 
@@ -223,7 +212,7 @@ def _dataclass_from(cls, raw, location):
 
 
 def load_catalog(text):
-    """Parse and cross-validate a catalog document (JSON text)."""
+    """Parse and cross-validate a catalog document (JSON text), constraints included."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -256,8 +245,30 @@ def load_catalog(text):
     return catalog
 
 
+def _region(field, texts, location, base=()):
+    """`base` and the constraints `texts` over `field`, each located for errors."""
+    region = list(base)
+    for k, text in enumerate(texts):
+        try:
+            region.append(Constraint.parse(field, text))
+        except (LckError, TypeError) as exc:
+            raise SchemaError(f"{location}[{k}]", f"cannot read {text!r}: {exc}") from None
+    return region
+
+
+def _check_point(raw, region, location):
+    point = _fractions(raw)
+    for c in region:
+        if not c.holds_at(point):
+            raise SchemaError(location, f"violates constraint {c}")
+
+
 def _validate_entry(entry, loc):
+    """Cross-check the entry, parse its constraints and check its points."""
     n = len(entry.salamon.split(","))
+    entry.param_constraints = _region(ScalarField(entry.names()), entry.param_constraints,
+                                      f"{loc}.param_constraints")
+    _check_point(entry.center_witness, entry.param_constraints, f"{loc}.center_witness")
     names = set()
     for j, rec in enumerate(entry.complex_structures):
         if rec.name in names:
@@ -267,6 +278,13 @@ def _validate_entry(entry, loc):
         if len(rec.matrix) != n * n:
             raise SchemaError(f"{loc}.complex_structures[{j}]",
                               f"matrix needs {n * n} entries, got {len(rec.matrix)}")
+    for j, rec in enumerate(entry.automorphisms):
+        aloc = f"{loc}.automorphisms[{j}]"
+        rec.constraints = _region(ScalarField(entry.names(rec.params)), rec.constraints,
+                                  f"{aloc}.constraints", entry.param_constraints)
+        for k, sample in enumerate(rec.samples):
+            _check_point({**entry.center_witness, **sample}, rec.constraints,
+                         f"{aloc}.samples[{k}]")
     for j, fam in enumerate(entry.lck_families):
         floc = f"{loc}.lck_families[{j}]"
         if fam.J not in names:
@@ -274,22 +292,21 @@ def _validate_entry(entry, loc):
         if len(fam.witnesses) < 2:
             raise SchemaError(floc, "every family needs at least two witnesses")
         try:
+            fam.constraints = _region(entry.complex_structure(fam.J, fam.params).field,
+                                      fam.constraints, f"{floc}.constraints",
+                                      entry.param_constraints)
             s = entry.family_structure(fam)
         except SchemaError:
             raise
         except Exception as exc:
             raise SchemaError(floc, f"cannot build structure: {exc}") from None
         for k, w in enumerate(s.witnesses):
-            for c in s.constraints:
-                if not c.holds_at(w):
-                    raise SchemaError(f"{floc}.witnesses[{k}]",
-                                      f"violates constraint {c}")
+            _check_point(w, s.constraints, f"{floc}.witnesses[{k}]")
             if s.theta.instantiate(w).is_zero():
                 raise SchemaError(f"{floc}.witnesses[{k}]", "theta vanishes")
-        if isinstance(fam.vaisman, dict):
-            keys = set(fam.vaisman) - {"iff"}
-            if keys:
-                raise SchemaError(floc, f"bad vaisman keys {keys}")
+        if isinstance(fam.vaisman, dict) and set(fam.vaisman) == {"iff"}:
+            fam.vaisman["iff"] = _region(s.algebra.field, fam.vaisman["iff"],
+                                         f"{floc}.vaisman.iff")
         elif fam.vaisman not in ("always", "never"):
             raise SchemaError(floc, f"bad vaisman value {fam.vaisman!r}")
     for j, rec in enumerate(entry.no_lck):
@@ -348,8 +365,7 @@ def verify_entry(entry):
     _check(records, f"{entry.id}/jacobi", g.jacobi_holds())
 
     if entry.center_basis is not None:
-        witness = _fractions(entry.center_witness)
-        got = g.center(witness)
+        got = g.center(_fractions(entry.center_witness))
         expected = [parse_form(QQ, g.dim, text, degree=1).vector()
                     for text in entry.center_basis]
         ok = _span_equal(got, expected, g.dim)
@@ -382,19 +398,18 @@ def _verify_automorphism(entry, rec):
     g = entry.algebra(rec.params)
     n = g.dim
     for k, sample in enumerate(rec.samples or [{}]):
-        assignment = dict(_fractions(entry.center_witness))
-        assignment.update(_fractions(sample))
+        assignment = _fractions({**entry.center_witness, **sample})
         matrix = [[QQ.scalar(eval_expression(rec.matrix[i * n + j], assignment))
                    for j in range(n)] for i in range(n)]
-        ok = is_automorphism(g.instantiate(assignment), matrix)
-        constraint_ok = all(parse_constraint(g.field, c).holds_at(assignment)
-                            for c in rec.constraints)
+        try:
+            ok, residual = is_automorphism(g.instantiate(assignment), matrix), ""
+        except LckError as exc:  # the matrix is singular at the sample
+            ok, residual = False, f"{type(exc).__name__}: {exc}"
         commute_ok = not rec.J or commutes_with(
             matrix, entry.complex_structure(rec.J).instantiate(assignment))
-        _check(records, f"{entry.id}/aut:{rec.name}@{k}",
-               ok and constraint_ok and commute_ok, witness=sample,
-               note="" if ok and constraint_ok and commute_ok else
-               f"automorphism={ok} constraint={constraint_ok} complex-linear={commute_ok}")
+        _check(records, f"{entry.id}/aut:{rec.name}@{k}", ok and commute_ok,
+               witness=sample, residual=residual, note="" if ok and commute_ok else
+               f"automorphism={ok} complex-linear={commute_ok}")
     return records
 
 
@@ -422,13 +437,11 @@ def _verify_family(entry, fam):
             roundtrip, residual = False, f"{type(exc).__name__}: {exc}"
         _check(records, f"{prefix}/lee_roundtrip", roundtrip, residual=residual)
 
+    vector = fam.vaisman_vector and parse_form(s.algebra.field, s.algebra.dim,
+                                               fam.vaisman_vector, degree=1).vector()
     for k, w in enumerate(s.witnesses):
-        expected = fam.vaisman
-        if isinstance(expected, dict):
-            field = s.algebra.field
-            want = all(parse_constraint(field, c).holds_at(w) for c in expected["iff"])
-        else:
-            want = expected == "always"
+        want = (all(c.holds_at(w) for c in fam.vaisman["iff"])
+                if isinstance(fam.vaisman, dict) else fam.vaisman == "always")
         try:
             got, A = vaisman_test(s, w)
         except LckError as exc:  # G singular or theta(G^-1 theta) = 0 at w
@@ -437,9 +450,8 @@ def _verify_family(entry, fam):
             continue
         ok = got == want
         note = ""
-        if ok and fam.vaisman_vector:
-            vec = [c.eval(w) for c in parse_form(s.algebra.field, s.algebra.dim,
-                                                 fam.vaisman_vector, degree=1).vector()]
+        if ok and vector:
+            vec = [c.eval(w) for c in vector]
             ok = vec == A
             note = "" if ok else f"expected A={vec}, got {A}"
         _check(records, f"{prefix}/vaisman@{k}", ok, witness=w,

@@ -220,7 +220,7 @@ def cmd_verify_table(args):
         try:
             with open(args.catalog) as fh:
                 catalog = load_catalog(fh.read())
-        except OSError as exc:
+        except (OSError, SchemaError) as exc:
             raise UsageError(f"--catalog: cannot read {args.catalog}: {exc}") from None
     else:
         catalog = load_builtin()
@@ -295,7 +295,7 @@ def _vector_str(coords):
 
 
 def _vaisman_str(v):
-    return v if isinstance(v, str) else "iff " + " and ".join(v["iff"])
+    return v if isinstance(v, str) else "iff " + " and ".join(map(str, v["iff"]))
 
 
 def cmd_lee(args):

@@ -103,13 +103,13 @@ def extension_by_derivation(base, D):
 def extension_by_representation(base, pi):
     """base |x V on an abelian fiber V, where e_i acts on V by pi[i - 1].
 
-    Raises LckError unless there is one fiber matrix per base basis vector,
-    all square of one size, and pi([x, y]) = [pi(x), pi(y)].
+    Raises LckError unless the base is nonzero, there is one fiber matrix per
+    base basis vector, all square of one size, and pi([x, y]) = [pi(x), pi(y)].
     """
     field = base.field
     n = base.dim
-    if len(pi) != n:
-        raise LckError("need one fiber matrix per base basis vector")
+    if len(pi) != n or n == 0:
+        raise LckError("need a nonzero base and one fiber matrix per base basis vector")
     fiber = len(pi[0])
     for k, m in enumerate(pi):
         _check_square(m, fiber, f"pi(e_{k + 1})")

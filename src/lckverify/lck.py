@@ -16,29 +16,38 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from . import linalg
-from .errors import LckError
+from .errors import LckError, ParseError
 from .exterior import KForm, basis_tuples, linear_map_matrix
 from .hermitian import gram_metric, j_residual, matrix_at, sylvester_positive
 from .scalars import QQ
 
 
-#: comparison operators allowed in family constraints
+#: constraint operators, in the order `Constraint.parse` looks for them
 _OPS = {
-    ">": lambda v: v > 0,
     ">=": lambda v: v >= 0,
-    "<": lambda v: v < 0,
     "<=": lambda v: v <= 0,
     "!=": lambda v: v != 0,
+    ">": lambda v: v > 0,
+    "<": lambda v: v < 0,
     "=": lambda v: v == 0,
 }
 
 
 @dataclass
 class Constraint:
-    """`expr op 0` with op one of > >= < <= != =."""
+    """`expr op 0` with op one of >= <= != > < =."""
 
     expr: object  # Scalar
     op: str
+
+    @classmethod
+    def parse(cls, field, text):
+        """`lhs op rhs` over `field`, split at the first operator found."""
+        for op in _OPS:
+            if op in text:
+                lhs, rhs = text.split(op, 1)
+                return cls(field.parse(lhs) - field.parse(rhs), op)
+        raise ParseError(f"constraint needs one of {' '.join(_OPS)}")
 
     def holds_at(self, assignment):
         return _OPS[self.op](self.expr.eval(assignment))
@@ -106,8 +115,7 @@ def verify_lck(s):
 
     for w in s.witnesses:
         ok = all(c.holds_at(w) for c in s.constraints)
-        theta_w = s.theta.instantiate(w)
-        nonzero = not theta_w.is_zero()
+        nonzero = not s.theta.instantiate(w).is_zero()
         checks.append(CheckRecord("witness_in_region", ok and nonzero, witness=w,
                                   note="" if nonzero else "theta vanishes at witness"))
         if invariant:

@@ -18,7 +18,7 @@ from lckverify.catalog import (
 )
 from lckverify.errors import LckError, SchemaError
 from lckverify.exterior import KForm
-from lckverify.lck import LcKStructure, lee_form, verify_lck
+from lckverify.lck import Constraint, LcKStructure, lee_form, verify_lck
 
 
 def mutate_omega_sign(entry, fam, index):
@@ -66,6 +66,70 @@ def test_load_rejects_witness_outside_region():
     with pytest.raises(SchemaError) as err:
         load_catalog(json.dumps(doc))
     assert "witnesses[0]" in str(err.value)
+
+
+def _load_with(entry_id, change):
+    """Load the built-in catalog after `change(entry)` on one raw entry."""
+    doc = json.loads(builtin_catalog_text())
+    change(next(e for e in doc["entries"] if e["id"] == entry_id))
+    load_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry_id, change, location, message", [
+    ("rr3p_gamma", lambda e: e.update(param_constraints=["g >> zz"]),
+     "param_constraints[0]", "unexpected token"),
+    ("rr3p_gamma", lambda e: e.update(param_constraints=["g > zz"]),
+     "param_constraints[0]", "unknown parameter 'zz'"),
+    ("rr3p_gamma", lambda e: e.update(param_constraints=["g > 0", "g"]),
+     "param_constraints[1]", "constraint needs one of"),
+    ("rr3p_gamma", lambda e: e.update(param_constraints=["g < 0"]),
+     "center_witness", "violates constraint g < 0"),
+    # a family witness outside a loosened exclusion of the entry: l = 3
+    ("d4_lambda", lambda e: e.update(param_constraints=["2*l-1 > 0", "l != 3"]),
+     "lck_families[0].witnesses[1]", "violates constraint l - 3 != 0"),
+    ("rh3", lambda e: e["automorphisms"][0]["samples"][0].update(a11="0"),
+     "automorphisms[0].samples[0]", "violates constraint a11^2 + a12^2 != 0"),
+    ("rh3", lambda e: e["automorphisms"][0].update(constraints=["a11^2 +"]),
+     "automorphisms[0].constraints[0]", "cannot read"),
+    ("rh3", lambda e: e["lck_families"][0].update(constraints=["s > 0", "s >"]),
+     "lck_families[0].constraints[1]", "cannot read"),
+    ("gl2", lambda e: e["lck_families"][0]["vaisman"].update(iff=["w23 = 0", "w12 w13"]),
+     "lck_families[0].vaisman.iff[1]", "cannot read 'w12 w13'"),
+], ids=["param-bad-syntax", "param-unknown-name", "param-no-comparator",
+        "param-center-witness-outside", "param-family-witness-outside",
+        "aut-sample-outside", "aut-bad-syntax", "family-bad-syntax", "vaisman-iff-bad"])
+def test_load_reads_every_region_and_checks_every_point(entry_id, change, location,
+                                                        message):
+    """Each constraint string is read at load, conjoined with the entry's
+    parameter constraints, and every stored point is checked against its
+    region; a fault is a SchemaError at its JSON path."""
+    with pytest.raises(SchemaError) as err:
+        _load_with(entry_id, change)
+    ids = [e["id"] for e in json.loads(builtin_catalog_text())["entries"]]
+    assert err.value.location == f"$.entries[{ids.index(entry_id)}].{location}"
+    assert message in err.value.message
+
+
+def test_regions_are_parsed_once_at_load(monkeypatch):
+    """After loading, verifying the whole table twice parses no constraint:
+    family, automorphism and Vaisman regions are read from the records."""
+    cat = load_builtin()
+
+    def refuse(cls, field, text):
+        raise AssertionError(f"constraint {text!r} parsed after load")
+
+    monkeypatch.setattr(Constraint, "parse", classmethod(refuse))
+    for _ in range(2):
+        records = verify_catalog(cat)
+        assert len(records) == 543
+        assert all(r.passed for r in records)
+
+
+def test_family_region_carries_the_entry_constraints(catalog):
+    entry = catalog.get("d4_lambda")
+    s = entry.family_structure(entry.lck_families[0])
+    assert [str(c) for c in s.constraints] == [
+        "2*l - 1 > 0", "l - 1 != 0", "s > 0", "l - 2 != 0"]
 
 
 def test_load_rejects_unknown_j_reference():

@@ -52,6 +52,14 @@ def _j_file(tmp_path, matrix):
     return str(path)
 
 
+def _catalog(tmp_path, **entry):
+    """A one-entry catalog file."""
+    doc = {"schema_version": 1, "entries": [dict(id="x", salamon="0,0,0,0", **entry)]}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 _ZERO4 = [["0"] * 4] * 4
 _COKAHLER = "cokahler_torus.json"
 
@@ -62,6 +70,9 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["extend", "--spec", _spec(tmp, fiber_dim="x")], "'fiber_dim'"),
     (lambda tmp: ["verify-table", "--catalog", str(tmp / "missing.json")],
      "--catalog"),
+    (lambda tmp: ["verify-table", "--catalog",
+                  _catalog(tmp, params=["g"], param_constraints=["g >> zz"])],
+     "$.entries[0].param_constraints[0]"),
     (lambda tmp: ["mn", "--algebra", "0,0,0,0", "--theta", "0", "--at", "{bad"],
      "--at"),
     (lambda tmp: ["ot", "--n", "1", "--c", "1,x"], "--c"),
@@ -92,8 +103,9 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["verify-table", "--entry", "nope"], "--entry"),
     (lambda tmp: ["extend", "--spec", _spec(tmp, entry="nope")], "'entry'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
-        "missing-catalog", "mn-bad-at", "ot-bad-c", "extend-rho-not-a-list",
-        "extend-ragged-rho", "extend-too-few-rho", "extend-bad-rho-expression",
+        "missing-catalog", "catalog-schema-error", "mn-bad-at", "ot-bad-c",
+        "extend-rho-not-a-list", "extend-ragged-rho", "extend-too-few-rho",
+        "extend-bad-rho-expression",
         "cokahler-short-phi", "cokahler-short-metric", "cokahler-short-d",
         "cokahler-eta-not-a-string", "solve-j-matrix-not-strings",
         "extend-params-not-a-list", "solve-bad-theta", "solve-bad-algebra",
@@ -103,6 +115,7 @@ _COKAHLER = "cokahler_torus.json"
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
     assert location in err
     assert "Traceback" not in err
 
@@ -235,4 +248,29 @@ def test_singular_metric_at_a_witness_is_a_failing_record(tmp_path, capsys):
         "[FAIL] rh3/lck:main/positive@1  residual: minor 1 = 0  at {s=0}",
         "[FAIL] rh3/lck:main/vaisman@1  residual: LckError: metric is singular at the witness  at {s=0}",
         "18 passed, 2 failed",
+    ]
+
+
+def test_singular_automorphism_at_a_sample_is_a_failing_record(tmp_path, capsys):
+    """A candidate automorphism that is singular at an in-region sample fails
+    its record, and the full report is printed with exit 1."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == "rh3"]
+    doc["entries"], doc["table_rows"] = [entry], ["rh3/main"]
+    [aut] = entry["automorphisms"]
+    # the generic matrix is singular where a11 = a12 = 0
+    aut["constraints"] = []
+    aut["samples"][0] = {"a11": "0", "a12": "0", "a13": "0", "a14": "0"}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")] == [
+        "[FAIL] rh3/aut:generic@0  automorphism=False complex-linear=True  "
+        "residual: LckError: candidate automorphism is singular  "
+        "at {a11=0, a12=0, a13=0, a14=0}",
+        "19 passed, 1 failed",
     ]

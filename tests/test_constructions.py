@@ -99,6 +99,13 @@ def test_extensions_reject_wrongly_sized_matrices():
         cokahler_mapping_torus(data)
 
 
+def test_representation_of_a_zero_dimensional_base_is_a_named_error():
+    """With no base vector there is no fiber matrix to read the fiber size
+    from; the builder says so instead of indexing an empty list."""
+    with pytest.raises(LckError, match="nonzero base"):
+        extension_by_representation(LieAlgebra.abelian(QQ, 0), [])
+
+
 def test_semidirect_laws_are_not_evaluated_on_valid_input(monkeypatch):
     """The Jacobi identity of the output stands for the representation and
     derivation laws, which are evaluated only to name a failure."""
