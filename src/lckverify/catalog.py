@@ -44,7 +44,8 @@ from .solver import (
 SCHEMA_VERSION = 1
 
 
-def _fractions(d):
+def rational_point(d):
+    """The parameter point {name: Fraction} of a mapping to numbers or strings."""
     return {k: Fraction(v) for k, v in d.items()}
 
 
@@ -180,7 +181,7 @@ class CatalogEntry:
         if key not in self._built:
             theta = parse_form(field, g.dim, fam.theta, degree=1)
             omega = parse_form(field, g.dim, fam.omega, degree=2)
-            witnesses = [_fractions(w) for w in fam.witnesses]
+            witnesses = [rational_point(w) for w in fam.witnesses]
             self._built[key] = LcKStructure(g, J, theta, omega, list(fam.constraints),
                                             witnesses, name=f"{self.id}/{fam.name}")
         return self._built[key]
@@ -257,7 +258,7 @@ def _region(field, texts, location, base=()):
 
 
 def _check_point(raw, region, location):
-    point = _fractions(raw)
+    point = rational_point(raw)
     for c in region:
         if not c.holds_at(point):
             raise SchemaError(location, f"violates constraint {c}")
@@ -365,7 +366,7 @@ def verify_entry(entry):
     _check(records, f"{entry.id}/jacobi", g.jacobi_holds())
 
     if entry.center_basis is not None:
-        got = g.center(_fractions(entry.center_witness))
+        got = g.center(rational_point(entry.center_witness))
         expected = [parse_form(QQ, g.dim, text, degree=1).vector()
                     for text in entry.center_basis]
         ok = _span_equal(got, expected, g.dim)
@@ -398,7 +399,7 @@ def _verify_automorphism(entry, rec):
     g = entry.algebra(rec.params)
     n = g.dim
     for k, sample in enumerate(rec.samples or [{}]):
-        assignment = _fractions({**entry.center_witness, **sample})
+        assignment = rational_point({**entry.center_witness, **sample})
         matrix = [[QQ.scalar(eval_expression(rec.matrix[i * n + j], assignment))
                    for j in range(n)] for i in range(n)]
         try:
@@ -503,7 +504,7 @@ def verify_equivalence(entry):
         prefix = f"{entry.id}/equiv:{rec.name}"
         J = entry.complex_structure(rec.J, rec.params)
         field, n = J.field, J.algebra.dim
-        witness = _fractions(rec.witness)
+        witness = rational_point(rec.witness)
         Jq = J.instantiate(witness)
         gq = Jq.algebra
         theta = parse_form(field, n, rec.start_theta, degree=1).instantiate(witness)
@@ -512,8 +513,12 @@ def verify_equivalence(entry):
         for k, step in enumerate(rec.chain):
             matrix = [[QQ.scalar(eval_expression(step[i * n + j], witness))
                        for j in range(n)] for i in range(n)]
-            step_ok = is_automorphism(gq, matrix) and commutes_with(matrix, Jq)
-            _check(records, f"{prefix}/step{k}", step_ok, witness=rec.witness)
+            try:
+                step_ok, residual = is_automorphism(gq, matrix) and commutes_with(matrix, Jq), ""
+            except LckError as exc:  # the step is singular at the witness
+                step_ok, residual = False, f"{type(exc).__name__}: {exc}"
+            _check(records, f"{prefix}/step{k}", step_ok, witness=rec.witness,
+                   residual=residual)
             all_ok = all_ok and step_ok
             theta = coframe_substitution(matrix, theta)
             omega = coframe_substitution(matrix, omega)

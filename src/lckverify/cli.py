@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 
 from . import __version__
-from .catalog import Check, _fractions, load_builtin, load_catalog, verify_catalog
+from .catalog import Check, load_builtin, load_catalog, rational_point, verify_catalog
 from .constructions import (
     CoKaehlerData,
     LcKExtensionSpec,
@@ -39,7 +39,7 @@ from .exterior import parse_form
 from .hermitian import ComplexStructure
 from .lck import LcKStructure, lee_form, morse_novikov_betti, vaisman_test
 from .liealg import parse_salamon
-from .scalars import ScalarField, parse_expression
+from .scalars import ScalarField, variables
 from .solver import lck_space, twisted_closed_space
 
 SCHEMA_VERSION = 1
@@ -127,27 +127,12 @@ def _collect_names(*texts):
     """Parameter names appearing in expressions, in first-appearance order,
     skipping basis atoms like e12."""
     names = []
-
-    def walk(node):
-        op = node[0]
-        if op == "var":
-            name = node[1]
-            is_atom = name[0] == "e" and name[1:].isdigit() and len(name) > 1
-            if not is_atom and name not in names:
-                names.append(name)
-        elif op in ("add", "sub", "mul", "div"):
-            walk(node[1])
-            walk(node[2])
-        elif op in ("neg", "pow"):
-            walk(node[1])
-        elif op == "call":
-            walk(node[2])
-
     for text in texts:
-        for piece in text.split(","):
-            piece = piece.strip()
-            if piece:
-                walk(parse_expression(piece))
+        for piece in filter(str.strip, text.split(",")):
+            for name in variables(piece):
+                is_atom = name[0] == "e" and name[1:].isdigit() and len(name) > 1
+                if not is_atom and name not in names:
+                    names.append(name)
     return names
 
 
@@ -157,7 +142,8 @@ def _algebra_and_field(spec, *located):
     for where, text in (("--algebra", spec),) + located:
         names += [name for name in _read(_collect_names, text, where) if name not in names]
     field = ScalarField(tuple(names))
-    return parse_salamon(spec, field=field, name="algebra"), field
+    return _read(lambda s: parse_salamon(s, field=field, name="algebra"), spec,
+                 "--algebra"), field
 
 
 def _load_json_file(path, what, required=()):
@@ -239,7 +225,7 @@ def cmd_solve(args):
     where = f"--J {args.J}: key 'matrix'"
     g, field = _algebra_and_field(args.algebra, ("--theta", args.theta),
                                   *((where, x) for x in j_entries))
-    theta = parse_form(field, g.dim, args.theta, degree=1)
+    theta = _read(lambda t: parse_form(field, g.dim, t, degree=1), args.theta, "--theta")
     space = twisted_closed_space(g, theta)
     report.result("twisted_closed_space", str(space))
     if args.J:
@@ -301,7 +287,7 @@ def _vaisman_str(v):
 def cmd_lee(args):
     report = Report(command=["lee", args.algebra, args.omega])
     g, field = _algebra_and_field(args.algebra, ("--omega", args.omega))
-    omega = parse_form(field, g.dim, args.omega, degree=2)
+    omega = _read(lambda t: parse_form(field, g.dim, t, degree=2), args.omega, "--omega")
     theta, closed = lee_form(g, omega)
     report.result("lee_form", f"theta = {theta}; closed = {closed}")
     return _emit(report, args)
@@ -310,9 +296,12 @@ def cmd_lee(args):
 def cmd_mn(args):
     report = Report(command=["mn", args.algebra, args.theta])
     g, field = _algebra_and_field(args.algebra, ("--theta", args.theta))
-    theta = parse_form(field, g.dim, args.theta, degree=1)
-    point = (_read(lambda t: _fractions(json.loads(t)), args.at, "--at")
+    theta = _read(lambda t: parse_form(field, g.dim, t, degree=1), args.theta, "--theta")
+    point = (_read(lambda t: rational_point(json.loads(t)), args.at, "--at")
              if args.at else {})
+    missing = [name for name in field.vars if name not in point]
+    if missing:
+        raise UsageError(f"--at: no value for {', '.join(missing)}")
     betti = morse_novikov_betti(g, theta, point)
     report.result("morse_novikov_betti", "(" + ", ".join(map(str, betti)) + ")")
     return _emit(report, args)
@@ -342,7 +331,7 @@ def cmd_extend(args):
                          f"lcK family {data['family']!r}")
     extra = _strings(data.get("params", []), f"{args.spec}: key 'params'")
     base = entry.family_structure(fam, extra_params=extra)
-    bind = _read(_fractions, data.get("bind", {}), f"{args.spec}: key 'bind'")
+    bind = _read(rational_point, data.get("bind", {}), f"{args.spec}: key 'bind'")
     if bind:
         base = _bind_structure(base, bind)
     field = base.algebra.field
@@ -354,7 +343,7 @@ def cmd_extend(args):
     rho = [_square(field, m, n2, f"{where}, matrix {k}") for k, m in enumerate(data["rho"])]
     spec = LcKExtensionSpec(
         base, n2, rho, name=data.get("name", ""),
-        extra_witnesses=_read(lambda ws: [_fractions(w) for w in ws],
+        extra_witnesses=_read(lambda ws: [rational_point(w) for w in ws],
                               data.get("witnesses", [{}]),
                               f"{args.spec}: key 'witnesses'"))
     g, out = lck_extension(spec)
@@ -398,7 +387,8 @@ def cmd_cokahler(args):
                       data[key], where(key))
         names += [name for name in found if name not in names]
     field = ScalarField(tuple(names))
-    h = parse_salamon(data["salamon"], field=field, name=data.get("name", "h"))
+    h = _read(lambda s: parse_salamon(s, field=field, name=data.get("name", "h")),
+              data["salamon"], where("salamon"))
     dim = h.dim
     eta, xi_form = (_read(lambda t: parse_form(field, dim, t, degree=1), data[key], where(key))
                     for key in ("eta", "xi"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LckError, ParseError
-from .scalars import QQ, Scalar, parse_expression
+from .scalars import QQ, Scalar, evaluate
 
 
 def merge_sign(left, right):
@@ -105,6 +105,9 @@ class KForm:
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, KForm):
+            # the zero scalar is the zero form of every degree
+            return self if isinstance(other, Scalar) and other.is_zero() else NotImplemented
         self._check_compatible(other)
         if self.degree != other.degree:
             if self.is_zero():
@@ -122,8 +125,13 @@ class KForm:
                 coeffs[idx] = s
         return KForm(self.field, self.dim, self.degree, coeffs)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return KForm(self.field, self.dim, self.degree,
@@ -138,6 +146,11 @@ class KForm:
                      {i: c * scalar for i, c in self.coeffs.items()})
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction, Scalar)):
+            return NotImplemented
+        return self * (self.field.one() / scalar)
 
     # -- exterior operations ---------------------------------------------------
 
@@ -295,18 +308,28 @@ def basis_tuples(dim, degree):
 
 # -- textual form syntax ------------------------------------------------------------
 #
-# Sums of terms `coefficient*eIJK` in the scalars expression grammar,
-# e.g. "s*e12 + e34", "-e4", "(t1^2+t2^2-t4)/t4^2*e12".  A bare "0"
-# denotes the zero form of the requested degree.
+# The scalars grammar, read by its one evaluator with each eIJK leaf a
+# basis form and every other leaf a Scalar: "s*e12 + e34", "-e4",
+# "(t1^2+t2^2-t4)/t4^2*e12".  KForm's arithmetic decides what is legal, so
+# a wedge, a form power or a division by a form is a ParseError naming the
+# text.  A bare "0" denotes the zero form of the requested degree.
 
 
 def parse_form(field, dim, text, degree=None):
-    ast = parse_expression(text)
-    kind, value = _form_from_ast(ast, field, dim)
-    if kind == "scalar":
-        if value.is_zero():
-            return KForm.zero(field, dim, degree if degree is not None else 0)
-        raise ParseError(f"expression {text!r} has no basis form factor")
+    def leaf(node):
+        indices = _is_form_atom(node[1], dim) if node[0] == "var" else None
+        if indices is None:
+            return field.leaf(node)
+        return KForm.basis(field, dim, indices)
+
+    try:
+        value = evaluate(text, leaf)
+    except (LckError, TypeError) as exc:
+        raise ParseError(f"{exc} in the form {text!r}") from None
+    if not isinstance(value, KForm):
+        if not value.is_zero():
+            raise ParseError(f"expression {text!r} has no basis form factor")
+        value = KForm.zero(field, dim, 0)
     if degree is not None and value.degree != degree:
         if not value.is_zero():
             raise ParseError(f"expected a {degree}-form in {text!r}, got degree {value.degree}")
@@ -323,54 +346,3 @@ def _is_form_atom(name, dim):
     if any(indices[t] >= indices[t + 1] for t in range(len(indices) - 1)):
         raise ParseError(f"indices must be strictly increasing in {name!r}")
     return indices
-
-
-def _form_from_ast(node, field, dim):
-    op = node[0]
-    if op == "num":
-        return "scalar", field.scalar(node[1])
-    if op == "var":
-        indices = _is_form_atom(node[1], dim)
-        if indices is not None:
-            return "form", KForm.basis(field, dim, indices)
-        return "scalar", field.var(node[1])
-    if op == "neg":
-        kind, v = _form_from_ast(node[1], field, dim)
-        return kind, -v
-    if op in ("add", "sub"):
-        k1, v1 = _form_from_ast(node[1], field, dim)
-        k2, v2 = _form_from_ast(node[2], field, dim)
-        if k1 != k2:
-            if k1 == "scalar" and v1.is_zero():
-                return k2, (v2 if op == "add" else -v2)
-            if k2 == "scalar" and v2.is_zero():
-                return k1, v1
-            raise ParseError("cannot add a scalar and a form")
-        try:
-            return k1, (v1 + v2 if op == "add" else v1 - v2)
-        except LckError as exc:
-            raise ParseError(f"mixed degrees in a form expression: {exc}") from None
-    if op == "mul":
-        k1, v1 = _form_from_ast(node[1], field, dim)
-        k2, v2 = _form_from_ast(node[2], field, dim)
-        if k1 == "form" and k2 == "form":
-            raise ParseError("wedge products are not part of the form syntax")
-        if k1 == "form" or k2 == "form":
-            return "form", v1 * v2 if k2 == "scalar" else v2 * v1
-        return "scalar", v1 * v2
-    if op == "div":
-        k1, v1 = _form_from_ast(node[1], field, dim)
-        k2, v2 = _form_from_ast(node[2], field, dim)
-        if k2 == "form":
-            raise ParseError("cannot divide by a form")
-        if k1 == "form":
-            return "form", v1 * (field.one() / v2)
-        return "scalar", v1 / v2
-    if op == "pow":
-        kind, v = _form_from_ast(node[1], field, dim)
-        if kind == "form":
-            raise ParseError("form powers are not part of the form syntax")
-        return "scalar", v ** node[2]
-    if op == "call":
-        raise ParseError(f"function {node[1]!r} is not allowed in forms")
-    raise ParseError(f"bad expression node {op!r}")

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import LckError, ParseError
-from .exterior import KForm, basis_tuples
-from .scalars import QQ, Scalar
+from .exterior import KForm, basis_tuples, parse_form
+from .scalars import QQ, Scalar, tokenize
 
 
 class LieAlgebra:
@@ -169,10 +169,11 @@ class LieAlgebra:
 
 # -- structure-equation parser -------------------------------------------------------------
 #
-# Comma-separated entries, one per coframe element, in the shared
-# expression grammar; two-digit integer atoms at parenthesis depth 0
-# that are not immediately followed by '*' denote basis 2-forms,
-# e.g. "l*14,(1-l)*24,-12+34,0".
+# Comma-separated entries, one per coframe element.  Each entry is a
+# 2-form read by `parse_form`, after the one rule of this dialect: a
+# two-digit integer atom at parenthesis depth 0 that is not immediately
+# followed by '*' denotes a basis 2-form, so "l*14,(1-l)*24,-12+34,0"
+# reads as l*e14, (1-l)*e24, -e12+e34 and 0.
 
 
 def parse_salamon(spec, field=None, name=""):
@@ -183,23 +184,17 @@ def parse_salamon(spec, field=None, name=""):
         raise ParseError("structure-equation atoms support dimension <= 9")
     d_coframe = []
     for k, entry in enumerate(entries):
-        if entry == "0":
-            d_coframe.append(KForm.zero(field, dim, 2))
-            continue
         try:
-            form = _parse_salamon_entry(entry, field, dim)
+            d_coframe.append(parse_form(field, dim, _as_form(entry), degree=2))
         except ParseError as exc:
             raise ParseError(f"entry {k + 1} ({entry!r}): {exc}") from None
-        d_coframe.append(form)
     return LieAlgebra(field, d_coframe, name=name)
 
 
-def _parse_salamon_entry(entry, field, dim):
-    from .exterior import _form_from_ast
-    from .scalars import _Parser, tokenize
-
+def _as_form(entry):
+    """The entry in the form syntax: its two-digit atoms become eIJ."""
     tokens = tokenize(entry)
-    converted = []
+    words = []
     depth = 0
     for pos, (kind, value) in enumerate(tokens):
         if (kind, value) == ("op", "("):
@@ -207,22 +202,7 @@ def _parse_salamon_entry(entry, field, dim):
         elif (kind, value) == ("op", ")"):
             depth -= 1
         if (kind == "num" and len(value) == 2 and depth == 0
-                and (pos + 1 >= len(tokens) or tokens[pos + 1] != ("op", "*"))):
-            i, j = int(value[0]), int(value[1])
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(f"index atom {value!r} out of range for dim {dim}")
-            if i >= j:
-                raise ParseError(f"index atom {value!r} must have i < j")
-            converted.append(("name", f"e{value}"))
-        else:
-            converted.append((kind, value))
-    parser = _Parser(converted, entry)
-    ast = parser.parse_expr()
-    if parser.peek() != ("end", ""):
-        raise ParseError(f"trailing input in {entry!r}")
-    kind, value = _form_from_ast(ast, field, dim)
-    if kind == "scalar":
-        if value.is_zero():
-            return KForm.zero(field, dim, 2)
-        raise ParseError("entry has no basis 2-form")
-    return value
+                and tokens[pos + 1:pos + 2] != [("op", "*")]):
+            value = f"e{value}"
+        words.append(value)
+    return " ".join(words)

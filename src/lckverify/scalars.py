@@ -599,10 +599,17 @@ class ScalarField:
         num = Polynomial.variable(self, name)
         return Scalar(self, num, self._unit, _normalized=True)
 
+    def leaf(self, node):
+        """The Scalar of a num or var leaf for `evaluate`; a call has none."""
+        if node[0] == "num":
+            return self.scalar(node[1])
+        if node[0] == "var":
+            return self.var(node[1])
+        raise ParseError(f"function {node[1]!r} is not a rational function")
+
     def parse(self, text):
         """Scalar from an arithmetic expression over rationals and parameters."""
-        ast = parse_expression(text)
-        return ast_to_scalar(ast, self)
+        return evaluate(text, self.leaf)
 
     def __repr__(self):
         return f"ScalarField{self.vars}"
@@ -613,12 +620,13 @@ QQ = ScalarField(())
 
 # -- expression grammar -----------------------------------------------------------
 #
-# Signed sums/products over integer literals and parameter names with
-# + - * / ( ) and integer powers written ^ or **.  The same grammar is
-# shared by the structure-equation parser, the form parser, and the
-# matrix entries of catalog records.  sqrt(...) is accepted by the
-# tokenizer but only meaningful for point evaluation (normalizing
-# automorphisms); converting a sqrt to a Scalar raises ParseError.
+# Signed sums/products over integer literals and names with + - * / ( ),
+# integer powers written ^ or **, and one-argument calls name(...).  Only
+# this module knows the syntax tree, and `evaluate` is its one evaluator:
+# scalars, forms, structure equations and rational points are read by it
+# with their own leaves, and `variables` lists names without evaluating.
+# sqrt(...) has a value only at a rational point (normalising
+# automorphisms); as a Scalar it is a ParseError.
 
 
 def tokenize(text):
@@ -729,7 +737,7 @@ class _Parser:
         raise ParseError(f"unexpected token {v!r} in {self.text!r}")
 
 
-def parse_expression(text):
+def _parse(text):
     parser = _Parser(tokenize(text), text)
     node = parser.parse_expr()
     if parser.peek() != ("end", ""):
@@ -737,38 +745,43 @@ def parse_expression(text):
     return node
 
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_OPERATIONS = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "div": operator.truediv, "pow": operator.pow}
 
 
 def _fold(node, leaf):
-    """Value of an expression tree: `leaf` gives the values of the num, var
-    and call nodes, and the arithmetic nodes combine them."""
-    op = node[0]
-    if op in ("num", "var", "call"):
+    if node[0] in ("num", "var"):
         return leaf(node)
-    if op == "neg":
-        return -_fold(node[1], leaf)
-    if op == "pow":
-        return _fold(node[1], leaf) ** node[2]
-    if op == "div":
-        d = _fold(node[2], leaf)
-        if not d:
-            raise LckError("division by zero in expression")
-        return _fold(node[1], leaf) / d
-    if op in _ARITHMETIC:
-        return _ARITHMETIC[op](_fold(node[1], leaf), _fold(node[2], leaf))
-    raise ParseError(f"bad expression node {op!r}")
+    op, *args = [_fold(x, leaf) if isinstance(x, tuple) else x for x in node]
+    if op == "call":
+        return leaf((op, *args))
+    if (op == "div" and not args[1]) or (op == "pow" and args[1] < 0 and not args[0]):
+        raise LckError("division by zero in expression")
+    return _OPERATIONS[op](*args)
 
 
-def ast_to_scalar(node, field):
-    def leaf(node):
-        if node[0] == "num":
-            return field.scalar(node[1])
-        if node[0] == "var":
-            return field.var(node[1])
-        raise ParseError(f"function {node[1]!r} is not a rational function")
+def evaluate(text, leaf):
+    """Value of the expression `text`: `leaf` gives the values of the leaves
+    ("num", Fraction), ("var", name) and ("call", name, argument value), and
+    their own arithmetic combines them.  A zero divisor or a zero base
+    under a negative power is an LckError."""
+    return _fold(_parse(text), leaf)
 
-    return _fold(node, leaf)
+
+def variables(text):
+    """The names of the var leaves of `text`, in first-appearance order,
+    found without evaluating it; a function's own name is not one."""
+    names = []
+
+    def walk(node):
+        if node[0] == "var" and node[1] not in names:
+            names.append(node[1])
+        for child in node[1:]:
+            if isinstance(child, tuple):
+                walk(child)
+
+    walk(_parse(text))
+    return names
 
 
 def sqrt_fraction(value):
@@ -796,6 +809,6 @@ def eval_expression(text, assignment):
                 raise LckError(f"no value for parameter {node[1]!r}") from None
         if node[1] != "sqrt":
             raise ParseError(f"unknown function {node[1]!r}")
-        return sqrt_fraction(_fold(node[2], leaf))
+        return sqrt_fraction(node[2])
 
-    return _fold(parse_expression(text), leaf)
+    return evaluate(text, leaf)

@@ -102,6 +102,17 @@ _COKAHLER = "cokahler_torus.json"
     (lambda tmp: ["vaisman", "--entry", "nope"], "--entry"),
     (lambda tmp: ["verify-table", "--entry", "nope"], "--entry"),
     (lambda tmp: ["extend", "--spec", _spec(tmp, entry="nope")], "'entry'"),
+    (lambda tmp: ["verify-table", "--catalog",
+                  _catalog(tmp, params=["g"], param_constraints=["(g-g)^-1 > 0"])],
+     "$.entries[0].param_constraints[0]"),
+    (lambda tmp: ["lee", "--algebra", "0,0,-12,0", "--omega", "(1-1)^-1*e12+e34"],
+     "--omega"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-12,0", "--theta", "e12"], "--theta"),
+    (lambda tmp: ["solve", "--algebra", "0,0,-15,0", "--theta", "e4"], "--algebra"),
+    (lambda tmp: ["mn", "--algebra", "a*14,0,0,0", "--theta", "e4", "--at", '{"b": 1}'],
+     "--at: no value for a"),
+    (lambda tmp: ["cokahler", "--spec", _spec(tmp, _COKAHLER, salamon="0,0,0,-15")],
+     "'salamon'"),
 ], ids=["extend-no-entry", "extend-unknown-family", "extend-bad-fiber-dim",
         "missing-catalog", "catalog-schema-error", "mn-bad-at", "ot-bad-c",
         "extend-rho-not-a-list", "extend-ragged-rho", "extend-too-few-rho",
@@ -111,7 +122,10 @@ _COKAHLER = "cokahler_torus.json"
         "extend-params-not-a-list", "solve-bad-theta", "solve-bad-algebra",
         "lee-bad-omega", "mn-bad-theta", "solve-bad-j-expression",
         "solve-unknown-j-entry", "solve-unknown-j-name", "vaisman-unknown-entry",
-        "verify-table-unknown-entry", "extend-unknown-entry"])
+        "verify-table-unknown-entry", "extend-unknown-entry",
+        "catalog-zero-power-constraint", "lee-zero-power-omega", "solve-theta-wrong-degree",
+        "solve-algebra-index-out-of-range", "mn-at-missing-parameter",
+        "cokahler-bad-salamon"])
 def test_bad_input_is_a_located_usage_error(tmp_path, capsys, argv, location):
     assert run(argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -143,6 +157,11 @@ def test_mn_output(capsys):
 def test_lee_output(capsys):
     assert run(["lee", "--algebra", "0,0,-12,0", "--omega", "e12+e34"]) == 0
     assert "theta = -e4" in capsys.readouterr().out
+
+
+def test_parameter_under_a_division_is_collected(capsys):
+    assert run(["lee", "--algebra", "0,0,-12,0", "--omega", "e12/(a-1) + e34"]) == 0
+    assert "theta = (-a + 1)*e4; closed = True" in capsys.readouterr().out
 
 
 def test_solve_with_catalog_j(capsys):
@@ -274,3 +293,26 @@ def test_singular_automorphism_at_a_sample_is_a_failing_record(tmp_path, capsys)
         "at {a11=0, a12=0, a13=0, a14=0}",
         "19 passed, 1 failed",
     ]
+
+
+def test_singular_chain_step_is_a_failing_record(tmp_path, capsys):
+    """A normalising-chain step that is singular at its witness fails its
+    record, and the full report is printed with exit 1."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == "rr3_1"]
+    doc["entries"], doc["table_rows"] = [entry], ["rr3_1/main"]
+    [chain] = entry["equivalences"]
+    chain["chain"][0] = ["0"] * 16
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [line for line in out.splitlines() if not line.startswith("[PASS]")]
+    assert failed[0] == ("[FAIL] rr3_1/equiv:normalize/step0  "
+                         "residual: LckError: candidate automorphism is singular  "
+                         "at {w14=3, w23=-4}")
+    assert failed[1].startswith("[FAIL] rr3_1/equiv:normalize/normal_form  ")
+    assert failed[2].endswith(" passed, 2 failed")

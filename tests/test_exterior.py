@@ -1,6 +1,7 @@
 """Wedge product, interior product, and the textual form syntax."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,10 @@ def test_parse_form_syntax():
     assert parse_form(F, 4, "0", degree=2).is_zero()
     zero = parse_form(F, 4, "0*e12", degree=1)
     assert zero.degree == 1 and zero.vector() == [F.zero()] * 4
+    # a zero scalar is the zero form of every degree, so it may be added
+    for text in ("0 + e12", "e12 - (s - s)", "(1-1) - -e12"):
+        assert parse_form(F, 4, text) == parse_form(F, 4, "e12")
+    assert parse_form(F, 4, "e12/(s-1)") == parse_form(F, 4, "1/(s-1)*e12")
 
 
 def test_parse_form_rejects_bad_input():
@@ -152,6 +157,9 @@ def test_parse_form_rejects_bad_input():
         parse_form(QQ, 4, "e12 + e134")  # mixed degree
     with pytest.raises(ParseError):
         parse_form(QQ, 4, "3 + e12")
+    for text in ("e12/e34", "e12^2", "sqrt(2)*e12", "e12/(1-1)", "(1-1)^-1*e12"):
+        with pytest.raises(ParseError, match=f"in the form {re.escape(repr(text))}$"):
+            parse_form(QQ, 4, text)
 
 
 def test_degree_beyond_dimension_is_zero():

@@ -7,6 +7,10 @@
 - Every exception class but `LckError` is caught somewhere in the
   package; a failure that no caller tells apart is an `LckError` whose
   message names it.
+- No module imports an underscore name of another package module, at
+  module level or inside a function.
+- Only `scalars.py` names the node tags of the expression grammar's
+  syntax tree.
 - Every function the benchmark's tracer wraps still exists.
 """
 
@@ -56,6 +60,36 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(_tree(path)) == []
+
+
+def private_imports(tree):
+    """Underscore names that imports anywhere in `tree` take from the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "lckverify"
+                                                 or node.module.startswith("lckverify.")):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from . import __version__\nfrom .a import b, _c\n"
+                     "def f():\n    from lckverify.d import _e\n    from os import _exit\n")
+    assert private_imports(tree) == ["_c (line 2)", "_e (line 4)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_import_of_a_private_name(path):
+    assert private_imports(_tree(path)) == []
+
+
+def test_only_scalars_names_an_expression_node():
+    tags = {"add", "sub", "mul", "div", "neg", "pow"}
+    named = {p.name: sorted({n.value for n in ast.walk(_tree(p))
+                             if isinstance(n, ast.Constant) and n.value in tags})
+             for p in SOURCES if p.name != "scalars.py"}
+    assert {name: found for name, found in named.items() if found} == {}
 
 
 def caught_names(tree):

@@ -65,14 +65,15 @@ def test_parse_salamon_examples():
 
     F = ScalarField(("l",))
     d4l = parse_salamon("l*14,(1-l)*24,-12+34,0", field=F)
-    assert d4l.d_coframe[0] == parse_form(F, 4, "l*e14")
-    assert d4l.d_coframe[1] == parse_form(F, 4, "(1-l)*e24")
+    assert d4l.d_coframe == [parse_form(F, 4, text, degree=2)
+                             for text in ("l*e14", "(1-l)*e24", "-e12+e34", "0")]
 
 
 def test_parse_salamon_errors():
     with pytest.raises(ParseError):
         parse_salamon("0,0,-21,0")  # atom must have i < j
-    with pytest.raises(ParseError, match="index atom '15' out of range for dim 4"):
+    with pytest.raises(ParseError,
+                       match=r"entry 3 \('-15'\): index out of range in 'e15' \(dim 4\)"):
         parse_salamon("0,0,-15,0")  # index out of range
     with pytest.raises(ParseError):
         parse_salamon("0,0,12+,0")

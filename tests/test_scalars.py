@@ -58,11 +58,14 @@ def test_eval_errors():
         F.parse("1/b").eval({"b": 0})
     with pytest.raises(LckError, match="missing parameter 'b'"):
         F.parse("a+b").eval({"a": 1})
-    # a zero divisor in the text itself, in both evaluators
-    with pytest.raises(LckError, match="division by zero in expression"):
-        eval_expression("1/(t4-t4)", {"t4": Fraction(1)})
-    with pytest.raises(LckError, match="division by zero in expression"):
-        F.parse("a/(b-b)")
+    # a zero divisor in the text itself, in both evaluators, written as a
+    # quotient or as a negative power
+    for text in ("1/(t4-t4)", "a^-1", "(t4-t4)^-2*a"):
+        with pytest.raises(LckError, match="division by zero in expression"):
+            eval_expression(text, {"a": Fraction(0), "t4": Fraction(1)})
+    for text in ("a/(b-b)", "(a-a)^-1", "(0)**-3"):
+        with pytest.raises(LckError, match="division by zero in expression"):
+            F.parse(text)
 
 
 def test_is_zero_examples():
