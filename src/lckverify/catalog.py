@@ -394,19 +394,25 @@ def verify_entry(entry):
     return records
 
 
+def _matrix_at(entries, n, assignment):
+    """The n x n matrix of row-major expression `entries` at a rational point."""
+    return [[QQ.scalar(eval_expression(entries[i * n + j], assignment))
+             for j in range(n)] for i in range(n)]
+
+
 def _verify_automorphism(entry, rec):
     records = []
     g = entry.algebra(rec.params)
     n = g.dim
     for k, sample in enumerate(rec.samples or [{}]):
         assignment = rational_point({**entry.center_witness, **sample})
-        matrix = [[QQ.scalar(eval_expression(rec.matrix[i * n + j], assignment))
-                   for j in range(n)] for i in range(n)]
+        matrix = None
         try:
+            matrix = _matrix_at(rec.matrix, n, assignment)
             ok, residual = is_automorphism(g.instantiate(assignment), matrix), ""
-        except LckError as exc:  # the matrix is singular at the sample
+        except LckError as exc:  # the matrix is undefined or singular at the sample
             ok, residual = False, f"{type(exc).__name__}: {exc}"
-        commute_ok = not rec.J or commutes_with(
+        commute_ok = not rec.J or matrix is not None and commutes_with(
             matrix, entry.complex_structure(rec.J).instantiate(assignment))
         _check(records, f"{entry.id}/aut:{rec.name}@{k}", ok and commute_ok,
                witness=sample, residual=residual, note="" if ok and commute_ok else
@@ -509,24 +515,29 @@ def verify_equivalence(entry):
         gq = Jq.algebra
         theta = parse_form(field, n, rec.start_theta, degree=1).instantiate(witness)
         omega = parse_form(field, n, rec.start_omega, degree=2).instantiate(witness)
-        all_ok = True
+        failed_step = None
         for k, step in enumerate(rec.chain):
-            matrix = [[QQ.scalar(eval_expression(step[i * n + j], witness))
-                       for j in range(n)] for i in range(n)]
             try:
+                matrix = _matrix_at(step, n, witness)
                 step_ok, residual = is_automorphism(gq, matrix) and commutes_with(matrix, Jq), ""
-            except LckError as exc:  # the step is singular at the witness
+            except LckError as exc:  # the step is undefined or singular at the witness
                 step_ok, residual = False, f"{type(exc).__name__}: {exc}"
             _check(records, f"{prefix}/step{k}", step_ok, witness=rec.witness,
                    residual=residual)
-            all_ok = all_ok and step_ok
-            theta = coframe_substitution(matrix, theta)
-            omega = coframe_substitution(matrix, omega)
+            if failed_step is None and step_ok:
+                theta = coframe_substitution(matrix, theta)
+                omega = coframe_substitution(matrix, omega)
+            elif failed_step is None:
+                failed_step = k
         want_theta = parse_form(field, n, rec.expected_theta, degree=1).instantiate(witness)
         want_omega = parse_form(field, n, rec.expected_omega, degree=2).instantiate(witness)
-        final_ok = theta == want_theta and omega == want_omega
+        if failed_step is not None:
+            final_ok, residual = False, f"not carried past the failing step{failed_step}"
+        else:
+            final_ok = theta == want_theta and omega == want_omega
+            residual = "" if final_ok else f"got theta={theta}, omega={omega}"
         _check(records, f"{prefix}/normal_form", final_ok, witness=rec.witness,
-               residual="" if final_ok else f"got theta={theta}, omega={omega}")
+               residual=residual)
     return records
 
 

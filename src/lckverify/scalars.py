@@ -27,7 +27,25 @@ and give the same representation:
     product, already in normal form; when both are constants (every
     Scalar over QQ is one), +, -, * and / are one Fraction operation.
 
-Every other case goes through the normalising constructor, and a result
+Every other sum, difference, product and quotient cancels gcds before it
+multiplies, as for rational numbers (Henrici, J. ACM 3, 1956; Knuth,
+TAOCP vol. 2, section 4.5.1).  With a/b and c/d reduced:
+
+  * a/b * c/d is (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
+    g2 = gcd(c, b), already reduced; a quotient is the product with c
+    and d swapped;
+  * a/b + c/d, for b != d, takes g = gcd(b, d).  If g is constant,
+    (ad + cb)/(bd) is reduced; otherwise t = a(d/g) + c(b/g) and
+    g2 = gcd(t, g) give the reduced (t/g2) / ((b/g)(d/g2));
+  * a gcd with a constant argument is 1 and is not taken;
+  * a power is num^n / den^n, reduced by Gauss's lemma, and its leading
+    coefficient stays positive because graded-lex leading terms multiply.
+
+These gcds are of the operands' factors, never of a full product, and
+they are exact only because every operand is reduced: so only this
+module builds a Scalar.  Each result then only needs the content and
+sign of its denominator fixed.  Parsing, `subs` and a sum over equal
+denominators go through the normalising constructor, and a result
 always lives in the left operand's field.
 """
 
@@ -332,6 +350,53 @@ def _exact_div(p, d):
     return Polynomial(p.field, quot)
 
 
+def _gcd_unless_constant(p, q):
+    """gcd(p, q) of nonzero p and q, or None when it is 1; it is not taken
+    when either is constant."""
+    if q.is_constant() or p.is_constant():
+        return None
+    g = poly_gcd(p, q)
+    return None if g.is_constant() else g
+
+
+def _cancel(p, g):
+    return p if g is None else _exact_div(p, g)
+
+
+def _primitive_denominator(num, den):
+    """num and den divided by the signed content of den, so that den has
+    integer coprime coefficients and a positive leading one."""
+    content, sign = den.content_sign()
+    factor = 1 / (content * sign)
+    if factor == 1:
+        return num, den
+    return num * factor, den * factor
+
+
+def _reduced(field, num, den):
+    """The Scalar num/den for coprime num and den."""
+    return Scalar(field, *_primitive_denominator(num, den), _normalized=True)
+
+
+def _product(field, a, b, c, d):
+    """(a/b)(c/d) for reduced nonzero operands."""
+    g1 = _gcd_unless_constant(a, d)
+    g2 = _gcd_unless_constant(c, b)
+    return _reduced(field, _cancel(a, g1) * _cancel(c, g2),
+                    _cancel(b, g2) * _cancel(d, g1))
+
+
+def _sum(field, a, b, c, d):
+    """a/b + c/d for reduced operands with b != d, so the sum is nonzero."""
+    g = _gcd_unless_constant(b, d)
+    if g is None:
+        return _reduced(field, a * d + c * b, b * d)
+    b1, d1 = _exact_div(b, g), _exact_div(d, g)
+    t = a * d1 + c * b1
+    g2 = _gcd_unless_constant(t, g)
+    return _reduced(field, _cancel(t, g2), b1 * _cancel(d, g2))
+
+
 class Scalar:
     """Element of the fraction field QQ(p1, ..., pm), kept reduced."""
 
@@ -354,13 +419,7 @@ class Scalar:
             if not g.is_constant():
                 num = _exact_div(num, g)
                 den = _exact_div(den, g)
-        content, sign = den.content_sign()
-        factor = 1 / (content * sign)
-        if factor != 1:
-            den = den * factor
-            num = num * factor
-        self.num = num
-        self.den = den
+        self.num, self.den = _primitive_denominator(num, den)
 
     # -- coercion -----------------------------------------------------------
 
@@ -379,7 +438,7 @@ class Scalar:
 
         On two constants this is one Fraction operation.  Otherwise, for
         +, - and *, the polynomial result is already in normal form over
-        the denominator 1; a polynomial quotient needs the constructor.
+        the denominator 1; a polynomial quotient is left to `_product`.
         """
         origin = self.field._origin
         d1, d2 = self.den.terms, other.den.terms
@@ -408,9 +467,7 @@ class Scalar:
             return fast
         if self.den == other.den:
             return Scalar(self.field, self.num + other.num, self.den)
-        return Scalar(self.field,
-                      self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        return _sum(self.field, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -427,9 +484,7 @@ class Scalar:
             return fast
         if self.den == other.den:
             return Scalar(self.field, self.num - other.num, self.den)
-        return Scalar(self.field,
-                      self.num * other.den - other.num * self.den,
-                      self.den * other.den)
+        return _sum(self.field, self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -449,7 +504,7 @@ class Scalar:
         fast = self._polynomial_op(other, operator.mul)
         if fast is not None:
             return fast
-        return Scalar(self.field, self.num * other.num, self.den * other.den)
+        return _product(self.field, self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -459,10 +514,12 @@ class Scalar:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        if not self.num.terms:
+            return self.field.zero()
         fast = self._polynomial_op(other, operator.truediv)
         if fast is not None:
             return fast
-        return Scalar(self.field, self.num * other.den, self.den * other.num)
+        return _product(self.field, self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -473,7 +530,7 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return (self.field.one() / self) ** (-n)
-        return Scalar(self.field, self.num ** n, self.den ** n)
+        return Scalar(self.field, self.num ** n, self.den ** n, _normalized=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -316,3 +316,50 @@ def test_singular_chain_step_is_a_failing_record(tmp_path, capsys):
                          "at {w14=3, w23=-4}")
     assert failed[1].startswith("[FAIL] rr3_1/equiv:normalize/normal_form  ")
     assert failed[2].endswith(" passed, 2 failed")
+
+
+def _rr3_1_catalog(tmp_path, change):
+    """A catalog of `rr3_1` alone, its entry edited by `change`."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == "rr3_1"]
+    doc["entries"], doc["table_rows"] = [entry], ["rr3_1/main"]
+    change(entry)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_undefined_chain_step_is_a_failing_record(tmp_path, capsys):
+    """A chain step undefined at its witness (1/sqrt(-w23) at w23 = 0) fails
+    its record, the forms are not carried past it, and the full report is
+    printed with exit 1."""
+    def change(entry):
+        entry["equivalences"][0]["witness"] = {"w14": "3", "w23": "0"}
+
+    assert run(["verify-table", "--catalog", str(_rr3_1_catalog(tmp_path, change))]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")] == [
+        "[FAIL] rr3_1/equiv:normalize/step0  "
+        "residual: LckError: division by zero in expression  at {w14=3, w23=0}",
+        "[FAIL] rr3_1/equiv:normalize/normal_form  "
+        "residual: not carried past the failing step0  at {w14=3, w23=0}",
+        "18 passed, 2 failed",
+    ]
+
+
+def test_undefined_automorphism_at_a_sample_is_a_failing_record(tmp_path, capsys):
+    """A candidate automorphism undefined at a sample fails that sample's
+    record, and the full report is printed with exit 1."""
+    def change(entry):
+        [aut] = entry["automorphisms"]
+        aut["matrix"][5] = "a22/a23"
+
+    assert run(["verify-table", "--catalog", str(_rr3_1_catalog(tmp_path, change))]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")][0] == (
+        "[FAIL] rr3_1/aut:rotation@0  automorphism=False complex-linear=False  "
+        "residual: LckError: division by zero in expression  at {a22=1, a23=0}")

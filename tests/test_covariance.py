@@ -8,7 +8,7 @@ e^i -> sum_j A[j][i] e^j (`coframe_substitution`), the carried data are
     d' = sub(A^-1) o d o sub(A),   M' = A^-1 M A,
     theta' = sub(A^-1) theta,      Omega' = sub(A^-1) Omega,
 
-and lee_form(Omega') = theta' is checked at each witness.
+and lee_form(Omega') = theta' is checked as an identity in the parameters.
 
 This pins the dual convention P = -M^T: written the wrong way round,
 M' = A M A^-1, the carried structure must fail for every family, so the
@@ -72,15 +72,15 @@ def verdicts(s):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("entry, fam", FAMILIES, ids=IDS)
-def test_verdicts_survive_a_change_of_coframe(entry, fam):
+def test_verdicts_survive_a_change_of_coframe(entry, fam, time_limit):
     s = entry.family_structure(fam)
     s2 = carried(s, *change_of_coframe(s, f"{entry.id}/{fam.name}"))
     assert s2.algebra.jacobi_holds()
     assert is_complex_structure(s2.algebra, s2.J)
     assert verdicts(s2) == verdicts(s)
-    for w in s.witnesses:  # symbolically, gl2/A stalls in poly_gcd here
-        theta, closed = lee_form(s2.algebra.instantiate(w), s2.omega.instantiate(w))
-        assert closed and theta == s2.theta.instantiate(w)
+    with time_limit(5):  # a stall fails the family instead of hanging the suite
+        theta, closed = lee_form(s2.algebra, s2.omega)
+    assert closed and theta == s2.theta
 
 
 @pytest.mark.slow

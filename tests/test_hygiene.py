@@ -11,6 +11,9 @@
   module level or inside a function.
 - Only `scalars.py` names the node tags of the expression grammar's
   syntax tree.
+- Only `scalars.py` builds a `Scalar` or passes `_normalized`: its
+  arithmetic cancels gcds of the operands' factors, which is exact only
+  when every operand is reduced.
 - Every function the benchmark's tracer wraps still exists.
 """
 
@@ -90,6 +93,31 @@ def test_only_scalars_names_an_expression_node():
                              if isinstance(n, ast.Constant) and n.value in tags})
              for p in SOURCES if p.name != "scalars.py"}
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def scalar_builds(tree):
+    """Lines of calls that build a `Scalar` or pass `_normalized`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "Scalar" or any(k.arg == "_normalized" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_a_scalar_build():
+    tree = ast.parse("x = Scalar(f, n, d)\ny = scalars.Scalar(f, n, d)\n"
+                     "z = make(f, n, _normalized=True)\nisinstance(x, Scalar)\n"
+                     "f.scalar(3)\n")
+    assert scalar_builds(tree) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=[p.name for p in SOURCES if p.name != "scalars.py"])
+def test_only_scalars_builds_a_scalar(path):
+    assert scalar_builds(_tree(path)) == []
 
 
 def caught_names(tree):

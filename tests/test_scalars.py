@@ -13,6 +13,7 @@ from lckverify.scalars import (
     Scalar,
     ScalarField,
     _exact_div,
+    _subs_poly,
     eval_expression,
     poly_gcd,
     sqrt_fraction,
@@ -134,13 +135,14 @@ def test_zero_operand_matches_normal_form(field):
                     assert got.den.terms == want.den.terms
 
 
-def _operand(rng, field, kind):
+def _operand(rng, field, kind, max_terms=2):
     """A Scalar built by the normalising constructor: a constant, a
-    nonconstant polynomial, or a quotient with a nonconstant denominator."""
+    nonconstant polynomial, or a quotient with a nonconstant denominator,
+    each polynomial of 1 to `max_terms` terms of degree at most 2."""
     def poly(constant):
         while True:
             terms = {}
-            for _ in range(rng.randint(1, 2)):
+            for _ in range(rng.randint(1, max_terms)):
                 exps = [0] * field.nvars
                 for _ in range(0 if constant else rng.randint(1, 2)):
                     exps[rng.randrange(field.nvars)] += 1
@@ -181,6 +183,101 @@ def test_polynomial_operands_match_normal_form(field, kinds):
                         assert got.field is want.field is field
                         assert got.num.terms == want.num.terms
                         assert got.den.terms == want.den.terms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_term_operands_give_reduced_results(seed, time_limit):
+    """+, -, * and / on seeded quotients, constants and polynomials of up to
+    three terms each.  The normalising constructor stalls on some of these
+    pairs, so each result is checked without it: it equals the operation by
+    cross-multiplication, its numerator and denominator are coprime, and
+    its denominator has integer coprime coefficients, the leading one
+    positive.  That is the normal form."""
+    rng = random.Random(f"three-term:{seed}")
+    kinds = ("constant", "polynomial", "quotient")
+    for _ in range(100):
+        x, y = (_operand(rng, F, rng.choice(kinds), max_terms=3) for _ in range(2))
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with time_limit(2):
+                got = op(x, y)
+            assert_reduced_result(op, x, y, got)
+
+
+def assert_reduced_result(op, x, y, got):
+    """got is the normal form of `x op y`, checked without building it."""
+    if op is operator.mul:
+        want_num, want_den = x.num * y.num, x.den * y.den
+    elif op is operator.truediv:
+        want_num, want_den = x.num * y.den, x.den * y.num
+    else:
+        want_num, want_den = op(x.num * y.den, y.num * x.den), x.den * y.den
+    assert got.num * want_den == want_num * got.den
+    assert_coprime(got.num, got.den)
+    assert got.den.content_sign() == (1, 1)  # integer, coprime, leading one > 0
+
+
+def assert_coprime(p, q):
+    """gcd(p, q) is constant, shown on univariate images, since the gcd of
+    full products is the one that stalls.  For each variable x, the other
+    variables are set to a rational point where p keeps its degree in x:
+    there a common factor of degree k in x keeps degree k, so the images
+    of p and q would share a factor of degree k."""
+    assert p.terms or q.is_constant()
+    rng = random.Random(0)
+    for i, name in enumerate(p.field.vars):
+        degree = max((e[i] for e in p.terms), default=0)
+        if not degree or not any(e[i] for e in q.terms):
+            continue
+        for _ in range(20):  # a point where the images share a root proves nothing
+            point = {v: Fraction(rng.randint(1, 50), rng.randint(1, 7))
+                     for v in p.field.vars if v != name}
+            image = _subs_poly(p, point)
+            if (max((e[i] for e in image.terms), default=0) == degree
+                    and poly_gcd(image, _subs_poly(q, point)).is_constant()):
+                break
+        else:
+            pytest.fail(f"no point shows {p} and {q} coprime in {name}")
+
+
+def test_stalled_quotient_operations_finish(time_limit):
+    """Quotients whose sum, taken over the full products, stalls in
+    `poly_gcd`: each of + - * / finishes in well under a second."""
+    x = F.parse("(2*a*m2 + 2*b*m2 + 3*m1^2)/(5*b - 2*m2)")
+    y = F.parse("(-6*a^2 - m2*t4 - 5/2*m1)/(3*b*m2 - 4*m1*t4 + 4*m2)")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with time_limit(2):
+            got = op(x, y)
+        assert_reduced_result(op, x, y, got)
+
+
+def test_gcds_with_a_constant_are_skipped(monkeypatch):
+    """Only the gcds of nonconstant factors are taken: a power of a quotient
+    takes none, a sum with a polynomial or a product with a constant takes
+    none, and a product with a polynomial takes one.  Calls that
+    `poly_gcd` makes of itself are not counted."""
+    import lckverify.scalars as scalars
+
+    calls, depth = [], [0]
+    gcd = scalars.poly_gcd
+
+    def counted(p, q):
+        if not depth[0]:
+            calls.append((p, q))
+        depth[0] += 1
+        try:
+            return gcd(p, q)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted)
+    q = F.parse("(a^2 + m1)/(a*b - 3*m2 + 1)")
+    p = F.parse("a*m1 - b + 2")
+    for value, most in ((lambda: q ** 3, 0), (lambda: q + p, 0), (lambda: q - p, 0),
+                        (lambda: q * 3, 0), (lambda: q / 3, 0),
+                        (lambda: q * p, 1), (lambda: p * q, 1), (lambda: q / p, 1)):
+        calls.clear()
+        value()
+        assert len(calls) <= most
 
 
 def test_polynomial_operands_skip_normalisation(monkeypatch):
@@ -226,6 +323,11 @@ def test_normalization_is_canonical():
         ("(2*a)/(4*b)", "a/(2*b)"),
         ("1/(-b)", "-1/b"),
         ("(a*b)/(b*b)", "a/b"),
+        # a common factor of the denominators that the sum's numerator shares
+        ("1/(a*b) + 1/(a*(a-b))", "1/(b*(a-b))"),
+        ("(a+b)/(a-b) * (a-b)/(a+b+1)", "(a+b)/(a+b+1)"),
+        ("((a+1)/b) / ((a+1)/(b+m1))", "(b+m1)/b"),
+        ("((a+1)/(2 - 4*b))^2", "(a^2+2*a+1)/(16*b^2-16*b+4)"),
     ]
     for left, right in pairs:
         x, y = F.parse(left), F.parse(right)
