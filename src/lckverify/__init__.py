@@ -3,16 +3,13 @@ on low-dimensional Lie algebras, with builders for higher dimensions."""
 
 __version__ = "0.1.0"
 
-from .exterior import KForm, interior_product, parse_form, wedge
+from .exterior import KForm, parse_form
 from .hermitian import (
     ComplexStructure,
-    dual_to_primal,
     gram_metric,
     is_automorphism,
     is_complex_structure,
     is_j_invariant,
-    is_positive_at,
-    pullback_form,
 )
 from .lck import (
     Constraint,
@@ -35,11 +32,10 @@ from .solver import (
 __all__ = [
     "__version__",
     "QQ", "Polynomial", "Scalar", "ScalarField",
-    "KForm", "wedge", "interior_product", "parse_form",
+    "KForm", "parse_form",
     "LieAlgebra", "parse_salamon",
-    "ComplexStructure", "dual_to_primal", "is_complex_structure",
-    "pullback_form", "is_automorphism", "is_j_invariant", "gram_metric",
-    "is_positive_at",
+    "ComplexStructure", "is_complex_structure", "is_automorphism",
+    "is_j_invariant", "gram_metric",
     "LcKStructure", "Constraint", "verify_lck", "lee_form", "vaisman_test",
     "morse_novikov_betti",
     "SolutionSpace", "twisted_closed_space", "lck_space",

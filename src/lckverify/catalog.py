@@ -15,7 +15,7 @@ so a transcription error anywhere surfaces as a failed check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
@@ -25,12 +25,13 @@ from .errors import LckError, SchemaError
 from .exterior import parse_form
 from .hermitian import (
     ComplexStructure,
-    commutes_with,
     coframe_substitution,
+    commutes_with,
+    complex_residual,
     is_automorphism,
     is_complex_structure,
 )
-from .lck import Constraint, LcKStructure, lee_form, vaisman_test, verify_lck
+from .lck import Check, Constraint, LcKStructure, lee_form, vaisman_test, verify_lck
 from .liealg import parse_salamon
 from .scalars import QQ, ScalarField, eval_expression
 from .solver import (
@@ -330,24 +331,6 @@ def load_builtin():
 # -- verification drivers ------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    id: str
-    status: str  # "pass" | "fail"
-    residual: str = ""
-    witness: object = None
-    note: str = ""
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-
-def _check(records, cid, ok, residual="", witness=None, note=""):
-    records.append(Check(cid, "pass" if ok else "fail", residual=residual,
-                         witness=witness, note=note))
-
-
 def _span_equal(basis_a, basis_b, dim):
     """Exact equality of row spans over QQ."""
     if len(basis_a) != len(basis_b):
@@ -363,21 +346,22 @@ def verify_entry(entry):
     """All checks for one catalog entry, as a stable-ordered record list."""
     records = []
     g = entry.algebra()
-    _check(records, f"{entry.id}/jacobi", g.jacobi_holds())
+    records.append(Check(f"{entry.id}/jacobi", g.jacobi_holds()))
 
     if entry.center_basis is not None:
         got = g.center(rational_point(entry.center_witness))
         expected = [parse_form(QQ, g.dim, text, degree=1).vector()
                     for text in entry.center_basis]
         ok = _span_equal(got, expected, g.dim)
-        _check(records, f"{entry.id}/center", ok,
-               witness=entry.center_witness or None,
-               residual="" if ok else f"got {[[str(x) for x in v] for v in got]}")
+        records.append(Check(f"{entry.id}/center", ok,
+                             witness=entry.center_witness or None,
+                             residual="" if ok else f"got {[[str(x) for x in v] for v in got]}"))
 
     for rec in entry.complex_structures:
         J = entry.complex_structure(rec.name)
-        _check(records, f"{entry.id}/J:{rec.name}/complex",
-               is_complex_structure(J.algebra, J), note=rec.note)
+        ok = is_complex_structure(J.algebra, J)
+        records.append(Check(f"{entry.id}/J:{rec.name}/complex", ok, note=rec.note,
+                             residual="" if ok else complex_residual(J.algebra, J)))
 
     for rec in entry.automorphisms:
         records.extend(_verify_automorphism(entry, rec))
@@ -414,26 +398,16 @@ def _verify_automorphism(entry, rec):
             ok, residual = False, f"{type(exc).__name__}: {exc}"
         commute_ok = not rec.J or matrix is not None and commutes_with(
             matrix, entry.complex_structure(rec.J).instantiate(assignment))
-        _check(records, f"{entry.id}/aut:{rec.name}@{k}", ok and commute_ok,
-               witness=sample, residual=residual, note="" if ok and commute_ok else
-               f"automorphism={ok} complex-linear={commute_ok}")
+        records.append(Check(f"{entry.id}/aut:{rec.name}@{k}", ok and commute_ok,
+                             witness=sample, residual=residual, note="" if ok and commute_ok
+                             else f"automorphism={ok} complex-linear={commute_ok}"))
     return records
 
 
 def _verify_family(entry, fam):
-    records = []
     s = entry.family_structure(fam)
     prefix = f"{entry.id}/lck:{fam.name}"
-    report = verify_lck(s)
-    seen = {}
-    for c in report.checks:
-        suffix = ""
-        if c.witness is not None:
-            k = seen.get(c.check, 0)
-            seen[c.check] = k + 1
-            suffix = f"@{k}"
-        _check(records, f"{prefix}/{c.check}{suffix}", c.passed,
-               residual=c.residual, witness=c.witness, note=c.note)
+    records = [replace(c, id=f"{prefix}/{c.id}") for c in verify_lck(s).checks]
 
     if s.algebra.dim == 4:
         try:
@@ -442,7 +416,7 @@ def _verify_family(entry, fam):
             residual = "" if roundtrip else f"lee form {theta}"
         except LckError as exc:  # omega ^ omega = 0 cannot happen on verified rows
             roundtrip, residual = False, f"{type(exc).__name__}: {exc}"
-        _check(records, f"{prefix}/lee_roundtrip", roundtrip, residual=residual)
+        records.append(Check(f"{prefix}/lee_roundtrip", roundtrip, residual=residual))
 
     vector = fam.vaisman_vector and parse_form(s.algebra.field, s.algebra.dim,
                                                fam.vaisman_vector, degree=1).vector()
@@ -452,8 +426,8 @@ def _verify_family(entry, fam):
         try:
             got, A = vaisman_test(s, w)
         except LckError as exc:  # G singular or theta(G^-1 theta) = 0 at w
-            _check(records, f"{prefix}/vaisman@{k}", False, witness=w,
-                   residual=f"{type(exc).__name__}: {exc}")
+            records.append(Check(f"{prefix}/vaisman@{k}", False, witness=w,
+                                 residual=f"{type(exc).__name__}: {exc}"))
             continue
         ok = got == want
         note = ""
@@ -461,8 +435,8 @@ def _verify_family(entry, fam):
             vec = [c.eval(w) for c in vector]
             ok = vec == A
             note = "" if ok else f"expected A={vec}, got {A}"
-        _check(records, f"{prefix}/vaisman@{k}", ok, witness=w,
-               note=note or ("" if ok else f"expected {want}, got {got}"))
+        records.append(Check(f"{prefix}/vaisman@{k}", ok, witness=w,
+                             note=note or ("" if ok else f"expected {want}, got {got}")))
     return records
 
 
@@ -473,7 +447,6 @@ def _lee_setup(entry, rec):
 
 
 def _verify_no_lck(entry, rec):
-    records = []
     g, J, theta = _lee_setup(entry, rec)
     space = (lck_space(g, J, theta) if rec.space == "lck"
              else twisted_closed_space(g, theta))
@@ -482,25 +455,22 @@ def _verify_no_lck(entry, rec):
         ok = degeneracy_certificate(space, J, rec.v)
     else:
         ok = positivity_clash(space, J, rec.u, rec.v)
-    _check(records, f"{entry.id}/nolck:{rec.name}", ok and sound,
-           note=rec.note if ok and sound else
-           f"obstruction={ok} soundness={sound} dim={space.dimension}")
-    return records
+    return [Check(f"{entry.id}/nolck:{rec.name}", ok and sound,
+                  note=rec.note if ok and sound else
+                  f"obstruction={ok} soundness={sound} dim={space.dimension}")]
 
 
 def _verify_replay(entry, rec):
-    records = []
     g, J, theta = _lee_setup(entry, rec)
     twisted = twisted_closed_space(g, theta)
     full = lck_space(g, J, theta)
     ok = (twisted.dimension == rec.twisted_dim and full.dimension == rec.lck_dim
           and satisfies_conditions(twisted, g, theta)
           and satisfies_conditions(full, g, theta, J))
-    _check(records, f"{entry.id}/replay:{rec.name}", ok,
-           note="" if ok else
-           f"twisted {twisted.dimension} (want {rec.twisted_dim}), "
-           f"lck {full.dimension} (want {rec.lck_dim})")
-    return records
+    return [Check(f"{entry.id}/replay:{rec.name}", ok,
+                  note="" if ok else
+                  f"twisted {twisted.dimension} (want {rec.twisted_dim}), "
+                  f"lck {full.dimension} (want {rec.lck_dim})")]
 
 
 def verify_equivalence(entry):
@@ -522,8 +492,8 @@ def verify_equivalence(entry):
                 step_ok, residual = is_automorphism(gq, matrix) and commutes_with(matrix, Jq), ""
             except LckError as exc:  # the step is undefined or singular at the witness
                 step_ok, residual = False, f"{type(exc).__name__}: {exc}"
-            _check(records, f"{prefix}/step{k}", step_ok, witness=rec.witness,
-                   residual=residual)
+            records.append(Check(f"{prefix}/step{k}", step_ok, witness=rec.witness,
+                                 residual=residual))
             if failed_step is None and step_ok:
                 theta = coframe_substitution(matrix, theta)
                 omega = coframe_substitution(matrix, omega)
@@ -536,8 +506,8 @@ def verify_equivalence(entry):
         else:
             final_ok = theta == want_theta and omega == want_omega
             residual = "" if final_ok else f"got theta={theta}, omega={omega}"
-        _check(records, f"{prefix}/normal_form", final_ok, witness=rec.witness,
-               residual=residual)
+        records.append(Check(f"{prefix}/normal_form", final_ok, witness=rec.witness,
+                             residual=residual))
     return records
 
 

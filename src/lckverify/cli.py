@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 
 from . import __version__
-from .catalog import Check, load_builtin, load_catalog, rational_point, verify_catalog
+from .catalog import load_builtin, load_catalog, rational_point, verify_catalog
 from .constructions import (
     CoKaehlerData,
     LcKExtensionSpec,
@@ -37,7 +37,7 @@ from .constructions import (
 from .errors import LckError, SchemaError, UsageError
 from .exterior import parse_form
 from .hermitian import ComplexStructure
-from .lck import LcKStructure, lee_form, morse_novikov_betti, vaisman_test
+from .lck import Check, LcKStructure, lee_form, morse_novikov_betti, vaisman_test
 from .liealg import parse_salamon
 from .scalars import ScalarField, variables
 from .solver import lck_space, twisted_closed_space
@@ -54,11 +54,11 @@ class Report:
         self.records.append(check)
 
     def result(self, rid, value):
-        self.records.append(Check(rid, "pass", note=str(value)))
+        self.records.append(Check(rid, True, note=str(value)))
 
     @property
     def failures(self):
-        return [r for r in self.records if r.status == "fail"]
+        return [r for r in self.records if not r.passed]
 
     @property
     def exit_code(self):
@@ -82,7 +82,7 @@ class Report:
     def to_text(self):
         lines = []
         for r in self.records:
-            line = f"[{r.status.upper():4s}] {r.id}"
+            line = f"[{'PASS' if r.passed else 'FAIL'}] {r.id}"
             if r.note:
                 line += f"  {r.note}"
             if r.residual:
@@ -100,7 +100,9 @@ def _witness_str(w):
 
 
 def _record_dict(r):
+    """The record's JSON object: `status` "pass" or "fail" in place of `passed`."""
     d = asdict(r)
+    d["status"] = "pass" if d.pop("passed") else "fail"
     if isinstance(d.get("witness"), dict):
         d["witness"] = {k: str(v) for k, v in sorted(d["witness"].items())}
     return d
@@ -354,8 +356,7 @@ def cmd_extend(args):
     report.result("unimodular", unimodularity_check(spec))
     for k, w in enumerate(out.witnesses):
         is_vaisman, _ = vaisman_test(out, w)
-        report.add(Check(f"not_vaisman@{k}", "pass" if not is_vaisman else "fail",
-                         witness=w))
+        report.add(Check(f"not_vaisman@{k}", not is_vaisman, witness=w))
     return _emit(report, args)
 
 
@@ -368,7 +369,7 @@ def cmd_ot(args):
     report.result("theta", str(s.theta))
     report.result("omega", str(s.omega))
     is_vaisman, _ = vaisman_test(s, {})
-    report.add(Check("not_vaisman", "pass" if not is_vaisman else "fail"))
+    report.add(Check("not_vaisman", not is_vaisman))
     return _emit(report, args)
 
 

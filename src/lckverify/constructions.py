@@ -49,7 +49,7 @@ def _checked(g, s, what):
         raise LckError(f"{what}: J fails integrability")
     report = verify_lck(s)
     if not report.passed:
-        raise LckError(f"{what} fails lcK checks: {report.failures()}")
+        raise LckError(f"{what} fails lcK checks: {[c.id for c in report.failures()]}")
     return g, s
 
 
@@ -308,17 +308,6 @@ def fundamental_two_form(data):
     the torus J-positive."""
     return KForm.from_matrix(data.h.field,
                              linalg.mat_mul(linalg.transpose(data.Phi), data.metric))
-
-
-def reeb_vector(data):
-    """The vector R with i_R omega = 0 and eta(R) = 1; equals xi here."""
-    omega = fundamental_two_form(data)
-    if not omega.interior(data.xi).is_zero():
-        raise LckError("cK4: xi does not contract the cosymplectic form to zero")
-    if data.eta.interior(data.xi) != KForm(data.h.field, data.h.dim, 0,
-                                           {(): data.h.field.one()}):
-        raise LckError("cK1: eta(xi) != 1")
-    return data.xi
 
 
 def _check_cokahler(data):

@@ -272,14 +272,6 @@ class KForm:
     __repr__ = __str__
 
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def interior_product(vector, a):
-    return a.interior(vector)
-
-
 def linear_map_matrix(field, dim, degree, operator, target_degree):
     """Matrix of a linear map Lambda^degree -> Lambda^target_degree given on
     forms: column j is the image of the j-th basis form, rows follow

@@ -75,14 +75,23 @@ def nijenhuis(g, P, i, j):
     return [-a + b - c - d for a, b, c, d in zip(term1, term2, term3, term4)]
 
 
-def is_complex_structure(g, J):
-    """M^2 = -Id and vanishing Nijenhuis tensor, as parameter identities."""
+def complex_residual(g, J):
+    """Why J is not integrable: the failed M^2 = -Id or the first nonzero
+    Nijenhuis component; "" when it is."""
     try:
         P = J.P
-    except LckError:
-        return False
-    return all(c.is_zero() for i, j in basis_tuples(g.dim, 2)
-               for c in nijenhuis(g, P, i, j))
+    except LckError as exc:
+        return str(exc)
+    for i, j in basis_tuples(g.dim, 2):
+        value = nijenhuis(g, P, i, j)
+        if any(not c.is_zero() for c in value):
+            return f"N(e{i}, e{j}) = ({', '.join(map(str, value))})"
+    return ""
+
+
+def is_complex_structure(g, J):
+    """M^2 = -Id and vanishing Nijenhuis tensor, as parameter identities."""
+    return not complex_residual(g, J)
 
 
 def coframe_substitution(matrix, form):
@@ -104,13 +113,6 @@ def coframe_substitution(matrix, form):
             term = term.wedge(images[i - 1])
         out = out + term
     return out
-
-
-def pullback_form(matrix, form):
-    """Pullback of a form along an automorphism (dual-matrix action)."""
-    if linalg.det(matrix).is_zero():
-        raise LckError("pullback along a singular matrix")
-    return coframe_substitution(matrix, form)
 
 
 def is_automorphism(g, matrix):

@@ -73,17 +73,23 @@ class LcKStructure:
 
 
 @dataclass
-class CheckRecord:
-    check: str
+class Check:
+    """One report record: an id such as `rh3/lck:main/positive@0` and its verdict."""
+
+    id: str
     passed: bool
     residual: str = ""
     witness: object = None
     note: str = ""
 
+    @property
+    def check(self):
+        """The id without its path or `@k`."""
+        return self.id.rsplit("/", 1)[-1].split("@")[0]
+
 
 @dataclass
 class LckReport:
-    name: str
     checks: list
 
     @property
@@ -95,33 +101,28 @@ class LckReport:
 
 
 def verify_lck(s):
-    """Run the four lcK checks; identities symbolic, positivity at witnesses."""
+    """Run the four lcK checks; identities symbolic, positivity at witnesses.
+
+    Witness records are numbered by witness: `witness_in_region@k`, `positive@k`.
+    """
     if not s.witnesses:
         raise LckError(f"{s.name or 'structure'} has no witnesses")
-    checks = []
+    checks = [Check(cid, residual.is_zero(), residual="" if residual.is_zero() else str(residual))
+              for cid, residual in (
+                  ("theta_closed", s.algebra.ce_d(s.theta)),
+                  ("twisted_closed", s.algebra.ce_d(s.omega) - s.theta.wedge(s.omega)),
+                  ("j_invariant", j_residual(s.omega, s.J)))]
+    invariant = checks[-1].passed
 
-    d_theta = s.algebra.ce_d(s.theta)
-    checks.append(CheckRecord("theta_closed", d_theta.is_zero(),
-                              residual="" if d_theta.is_zero() else str(d_theta)))
-
-    residual = s.algebra.ce_d(s.omega) - s.theta.wedge(s.omega)
-    checks.append(CheckRecord("twisted_closed", residual.is_zero(),
-                              residual="" if residual.is_zero() else str(residual)))
-
-    residual = j_residual(s.omega, s.J)
-    invariant = residual.is_zero()
-    checks.append(CheckRecord("j_invariant", invariant,
-                              residual="" if invariant else str(residual)))
-
-    for w in s.witnesses:
+    for k, w in enumerate(s.witnesses):
         ok = all(c.holds_at(w) for c in s.constraints)
         nonzero = not s.theta.instantiate(w).is_zero()
-        checks.append(CheckRecord("witness_in_region", ok and nonzero, witness=w,
-                                  note="" if nonzero else "theta vanishes at witness"))
+        checks.append(Check(f"witness_in_region@{k}", ok and nonzero, witness=w,
+                            note="" if nonzero else "theta vanishes at witness"))
         if invariant:
             positive, residual = sylvester_positive(s.metric, w)
-            checks.append(CheckRecord("positive", positive, residual=residual, witness=w))
-    return LckReport(s.name, checks)
+            checks.append(Check(f"positive@{k}", positive, residual=residual, witness=w))
+    return LckReport(checks)
 
 
 def lee_form(g, omega):

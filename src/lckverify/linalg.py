@@ -185,12 +185,3 @@ def det(a):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
     return result
 
-
-def inverse(a):
-    n = len(a)
-    field = a[0][0].field
-    aug = [list(row) + identity(field, n)[i] for i, row in enumerate(a)]
-    red, pivots, _ = rref(aug, n)
-    if len(pivots) < n:
-        raise LckError("matrix is not invertible")
-    return [row[n:] for row in red[:n]]

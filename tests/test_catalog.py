@@ -158,6 +158,19 @@ def test_verify_entry_rh3(catalog):
     assert any(i.startswith("rh3/lck:main/vaisman") for i in ids)
 
 
+def test_failing_complex_structure_names_its_nijenhuis_component():
+    """J e1 = e3, J e2 = e4 squares to -1 on rh3 but is not integrable:
+    the failing `complex` record carries N(e1, e2) = -[e1, e2] = -e3."""
+    doc = json.loads(builtin_catalog_text())
+    entry = next(e for e in doc["entries"] if e["id"] == "rh3")
+    entry["complex_structures"].append(
+        {"name": "swap", "matrix": ["0", "0", "-1", "0", "0", "0", "0", "-1",
+                                    "1", "0", "0", "0", "0", "1", "0", "0"]})
+    [failed] = [r for r in verify_entry(load_catalog(json.dumps(doc)).get("rh3"))
+                if not r.passed]
+    assert (failed.id, failed.residual) == ("rh3/J:swap/complex", "N(e1, e2) = (0, 0, -1, 0)")
+
+
 def test_lee_form_error_is_a_failing_record_and_a_bug_propagates(catalog, monkeypatch):
     def degenerate(g, omega):
         raise LckError("omega is degenerate")

@@ -22,12 +22,11 @@ from lckverify.constructions import (
     extension_by_representation,
     lck_extension,
     ot_algebra,
-    reeb_vector,
     unimodularity_check,
 )
 from lckverify.errors import LckError
 from lckverify.exterior import KForm, basis_tuples, parse_form
-from lckverify.lck import CheckRecord, LckReport, vaisman_test, verify_lck
+from lckverify.lck import Check, LckReport, vaisman_test, verify_lck
 from lckverify.liealg import LieAlgebra, parse_salamon
 from lckverify.scalars import QQ, ScalarField
 
@@ -439,10 +438,10 @@ def test_cokahler_other_orientation():
 
 
 def test_cokahler_reeb_vector():
-    data = cok3_data()
-    assert reeb_vector(data) == data.xi
-    # and the defining contraction property, via the public operator
+    """xi is the Reeb vector: eta(xi) = 1 (cK1) and i_xi omega = 0."""
     from lckverify.constructions import fundamental_two_form
+    data = cok3_data()
+    assert data.eta(data.xi) == QQ.one()
     assert fundamental_two_form(data).interior(data.xi).is_zero()
 
 
@@ -511,7 +510,7 @@ def test_cokahler_rejects_eta_not_closed():
 
 
 def _failing_report(s):
-    return LckReport(s.name, [CheckRecord("positive", False)])
+    return LckReport([Check("positive@0", False)])
 
 
 def _break_check_and_build(case):
@@ -538,15 +537,25 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 try:
     test_constructions._break_check_and_build(sys.argv[1])
-except LckError:
+except LckError as exc:
+    print(exc)
     sys.exit(0)
 sys.exit("returned although its self-check failed")
 """
 
+#: the message each broken self-check raises; a failing lcK report is named by record ids
+_SELF_CHECK_MESSAGES = {
+    "ot": "extension fails lcK checks: ['positive@0']",
+    "cokahler": "mapping torus: J fails integrability",
+    "extension": "extension fails lcK checks: ['positive@0']",
+    "betti": "d_theta^2 != 0",
+}
+
 
 @pytest.mark.parametrize("case", ["ot", "cokahler", "extension", "betti"])
 def test_self_checks_survive_optimize(case):
-    """`python -O` strips asserts; the self-checks must still raise."""
+    """`python -O` strips asserts; the self-checks must still raise, with
+    a message that names what failed."""
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
@@ -554,3 +563,4 @@ def test_self_checks_survive_optimize(case):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _SELF_CHECK_MESSAGES[case] + "\n"

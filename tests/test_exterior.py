@@ -8,7 +8,7 @@ import pytest
 
 from lckverify import linalg
 from lckverify.errors import LckError, ParseError
-from lckverify.exterior import KForm, basis_tuples, interior_product, parse_form, wedge
+from lckverify.exterior import KForm, basis_tuples, parse_form
 from lckverify.scalars import QQ, ScalarField
 
 
@@ -24,16 +24,16 @@ def e(*indices):
 
 
 def test_wedge_examples():
-    assert wedge(e(1), e(2)) == e(1, 2)
-    assert wedge(e(4), e(1, 2)) == e(1, 2, 4) * perm_sign((4, 1, 2))
-    assert wedge(e(4), e(1, 2)) == e(1, 2, 4)
-    assert wedge(e(1), e(1, 2)).is_zero()
+    assert e(1).wedge(e(2)) == e(1, 2)
+    assert e(4).wedge(e(1, 2)) == e(1, 2, 4) * perm_sign((4, 1, 2))
+    assert e(4).wedge(e(1, 2)) == e(1, 2, 4)
+    assert e(1).wedge(e(1, 2)).is_zero()
 
 
 def test_wedge_sign_against_permutation_oracle():
     for left in basis_tuples(4, 2):
         for right in basis_tuples(4, 2):
-            got = wedge(KForm.basis(QQ, 4, left), KForm.basis(QQ, 4, right))
+            got = KForm.basis(QQ, 4, left).wedge(KForm.basis(QQ, 4, right))
             merged = left + right
             if len(set(merged)) < 4:
                 assert got.is_zero()
@@ -58,18 +58,18 @@ def test_graded_anticommutativity_and_associativity():
         a = random_form(rng, QQ, 4, p)
         b = random_form(rng, QQ, 4, q)
         sign = (-1) ** (p * q)
-        assert wedge(a, b) == wedge(b, a) * sign
+        assert a.wedge(b) == b.wedge(a) * sign
         c = random_form(rng, QQ, 4, 1)
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 
 def test_interior_product_examples():
     e3 = [QQ.zero(), QQ.zero(), QQ.one(), QQ.zero()]
-    assert interior_product(e3, e(3, 4)) == e(4)
+    assert e(3, 4).interior(e3) == e(4)
     e1 = [QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()]
-    assert interior_product(e1, e(2, 3)).is_zero()
+    assert e(2, 3).interior(e1).is_zero()
     with pytest.raises(LckError, match="cannot contract a 0-form"):
-        interior_product(e1, KForm(QQ, 4, 0, {(): QQ.one()}))
+        KForm(QQ, 4, 0, {(): QQ.one()}).interior(e1)
 
 
 def test_interior_product_leibniz_and_square_zero():
@@ -78,12 +78,11 @@ def test_interior_product_leibniz_and_square_zero():
         a = random_form(rng, QQ, 4, rng.randint(1, 2))
         b = random_form(rng, QQ, 4, 1)
         x = [QQ.scalar(rng.randint(-2, 2)) for _ in range(4)]
-        lhs = interior_product(x, wedge(a, b))
-        rhs = (wedge(interior_product(x, a), b)
-               + wedge(a, interior_product(x, b)) * ((-1) ** a.degree))
+        lhs = a.wedge(b).interior(x)
+        rhs = a.interior(x).wedge(b) + a.wedge(b.interior(x)) * ((-1) ** a.degree)
         assert lhs == rhs
         if a.degree == 2:
-            assert interior_product(x, interior_product(x, a)).is_zero()
+            assert a.interior(x).interior(x).is_zero()
 
 
 def test_evaluation_on_vectors():
@@ -127,7 +126,7 @@ def test_coordinates_are_values_on_the_basis(field, texts):
 
 def test_dimension_mismatch():
     with pytest.raises(LckError, match="forms of dimension 4 and 3 do not combine"):
-        wedge(e(1), KForm.basis(QQ, 3, (1,)))
+        e(1).wedge(KForm.basis(QQ, 3, (1,)))
 
 
 def test_parse_form_syntax():
@@ -165,4 +164,4 @@ def test_parse_form_rejects_bad_input():
 def test_degree_beyond_dimension_is_zero():
     a = parse_form(QQ, 4, "e123")
     b = parse_form(QQ, 4, "e34")
-    assert wedge(a, b).is_zero()
+    assert a.wedge(b).is_zero()

@@ -1,4 +1,4 @@
-"""Complex structures, pullbacks, automorphisms, metric positivity.
+"""Complex structures, coframe substitution, automorphisms, metric positivity.
 
 The automorphism predicate gets an independent oracle: brute-force
 bracket preservation A[x, y] = [Ax, Ay] of the operator on vectors.
@@ -15,13 +15,13 @@ from lckverify.exterior import KForm, basis_tuples, parse_form
 from lckverify.hermitian import (
     ComplexStructure,
     coframe_substitution,
+    complex_residual,
     dual_to_primal,
     gram_metric,
     is_automorphism,
     is_complex_structure,
     is_j_invariant,
     is_positive_at,
-    pullback_form,
 )
 from lckverify.liealg import parse_salamon
 from lckverify.scalars import QQ, ScalarField
@@ -78,8 +78,19 @@ def test_dual_to_primal_rejects_non_complex():
 
 
 def test_is_complex_structure():
+    """`complex_residual` says why J is not integrable: the failed M^2 = -Id
+    or the first nonzero Nijenhuis component; "" when it is."""
     assert is_complex_structure(RH3, RH3_J)
-    assert not is_complex_structure(RH3, ComplexStructure(RH3, linalg.identity(QQ, 4)))
+    assert complex_residual(RH3, RH3_J) == ""
+    bad = ComplexStructure(RH3, linalg.identity(QQ, 4), name="id")
+    assert not is_complex_structure(RH3, bad)
+    assert complex_residual(RH3, bad) == "id: dual matrix does not square to -Id"
+    # J e1 = e3 and J e2 = e4 square to -1; on rh3 the only bracket is
+    # [e1, e2] = e3, and e3, e4 are central, so N(e1, e2) = -[e1, e2] = -e3
+    swapped = ComplexStructure(RH3, mat(QQ, [[0, 0, -1, 0], [0, 0, 0, -1],
+                                             [1, 0, 0, 0], [0, 1, 0, 0]]))
+    assert not is_complex_structure(RH3, swapped)
+    assert complex_residual(RH3, swapped) == "N(e1, e2) = (0, 0, -1, 0)"
     Fg = ScalarField(("m1", "m2"))
     gl2 = parse_salamon("-23,-2*12,2*13,0", field=Fg)
     J1mu = ComplexStructure(gl2, mat(Fg, [
@@ -92,7 +103,7 @@ def test_is_complex_structure():
 
 def test_pullback_scaling():
     two = mat(QQ, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-    assert pullback_form(two, parse_form(QQ, 4, "e12")) == parse_form(QQ, 4, "4*e12")
+    assert coframe_substitution(two, parse_form(QQ, 4, "e12")) == parse_form(QQ, 4, "4*e12")
 
 
 def test_pullback_is_multiplicative():
@@ -103,8 +114,8 @@ def test_pullback_is_multiplicative():
             continue
         a = KForm(QQ, 4, 1, {(i,): QQ.scalar(rng.randint(-2, 2)) for i in range(1, 5)})
         b = KForm(QQ, 4, 1, {(i,): QQ.scalar(rng.randint(-2, 2)) for i in range(1, 5)})
-        assert pullback_form(m, a.wedge(b)) == \
-            pullback_form(m, a).wedge(pullback_form(m, b))
+        assert coframe_substitution(m, a.wedge(b)) == \
+            coframe_substitution(m, a).wedge(coframe_substitution(m, b))
 
 
 def test_rh3_reduction_automorphism_pullback():
@@ -120,8 +131,8 @@ def test_rh3_reduction_automorphism_pullback():
         F, 4,
         "((t1^2+t2^2-t4)/t4^2*w34)*e12 - (w34*t1/t4)*e13 + (w34*t2/t4)*e14"
         " - (w34*t2/t4)*e23 - (w34*t1/t4)*e24 + w34*e34")
-    assert pullback_form(A, theta) == parse_form(F, 4, "t4*e4")
-    assert pullback_form(A, omega) == parse_form(F, 4, "-(w34/t4)*e12 + w34*e34")
+    assert coframe_substitution(A, theta) == parse_form(F, 4, "t4*e4")
+    assert coframe_substitution(A, omega) == parse_form(F, 4, "-(w34/t4)*e12 + w34*e34")
 
 
 def test_is_automorphism_examples():

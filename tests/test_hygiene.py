@@ -15,10 +15,15 @@
   arithmetic cancels gcds of the operands' factors, which is exact only
   when every operand is reduced.
 - Every function the benchmark's tracer wraps still exists.
+- Every module-level function and class is named somewhere else: in a
+  package module other than `__init__.py`, outside its own definition,
+  or in the benchmark's scripts.  A public name that only `__all__` or a
+  test reads is dead API.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -163,3 +168,47 @@ def test_every_traced_function_exists(monkeypatch):
         if attr not in vars(owner):
             missing.append(name)
     assert missing == []
+
+
+def _names(node):
+    """Every name that `node` reads, imports or takes as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def unreferenced_definitions(sources, bench_text):
+    """`file: name` of each module-level function or class in `sources`
+    ({file name: text}) that no other top-level statement of the package
+    names, `__init__.py` aside, and that `bench_text` does not name."""
+    statements = [(fname, node, _names(node))
+                  for fname, text in sources.items() if fname != "__init__.py"
+                  for node in ast.parse(text).body]
+    return [f"{fname}: {node.name}" for fname, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in names for _, other, names in statements if other is not node)
+            and not re.search(rf"\b{node.name}\b", bench_text)]
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {
+        "a.py": "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+                "def again():\n    return again()\n\n\nclass Traced:\n    pass\n\n\n"
+                "def local():\n    pass\n\n\nX = local\n",
+        "b.py": "from .a import used\n\n\nclass B:\n    def dead(self):\n        pass\n",
+        "__init__.py": "from .a import dead\n__all__ = ['dead', 'B']\n",
+    }
+    assert unreferenced_definitions(sources, "SPANS = {'a.Traced': ('a', 'Traced')}") == [
+        "a.py: dead", "a.py: again", "b.py: B"]
+
+
+def test_no_unreferenced_definition():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
+    assert unreferenced_definitions(sources, bench) == []
