@@ -38,10 +38,6 @@ class LieAlgebra:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def abelian(field, dim, name="abelian"):
-        return LieAlgebra(field, [KForm.zero(field, dim, 2) for _ in range(dim)], name)
-
-    @staticmethod
     def from_structure_constants(field, dim, brackets, name=""):
         """brackets: dict (i, j) -> coordinate list of [e_i, e_j], for i < j."""
         d_coframe = []

@@ -15,38 +15,38 @@ printing and leading terms).  Scalars are normalized so that
   * the denominator has integer coprime coefficients,
   * the leading coefficient of the denominator is positive,
 
-which makes equality a comparison of representations.  Since every
-Scalar is already in normal form, two fast paths skip the normalisation
-and give the same representation:
+which makes equality a comparison of representations.  Only this module
+builds a Scalar, and its constructor stores parts that are already
+reduced, so every result is reduced on one of three paths:
 
   * addition, subtraction and multiplication with a zero operand return
     that normal form without any polynomial arithmetic;
-  * a normalised Scalar with a constant denominator has denominator
-    exactly 1, so it is a polynomial.  When both operands are, the sum,
-    difference and product are the polynomial sum, difference and
-    product, already in normal form; when both are constants (every
-    Scalar over QQ is one), +, -, * and / are one Fraction operation.
+  * a reduced Scalar with a constant denominator has denominator exactly
+    1, so it is a polynomial.  When both operands are, the sum,
+    difference and product are the polynomial ones, already reduced;
+    when both are constants (every Scalar over QQ is one), +, -, * and
+    / are one Fraction operation;
+  * everything else, `subs` included, cancels gcds of the operands'
+    factors before it multiplies, as for rational numbers (Henrici,
+    J. ACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1).
 
-Every other sum, difference, product and quotient cancels gcds before it
-multiplies, as for rational numbers (Henrici, J. ACM 3, 1956; Knuth,
-TAOCP vol. 2, section 4.5.1).  With a/b and c/d reduced:
+With a/b and c/d reduced, and a gcd with a constant argument taken as 1
+without computing it:
 
   * a/b * c/d is (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
-    g2 = gcd(c, b), already reduced; a quotient is the product with c
-    and d swapped;
+    g2 = gcd(c, b); a quotient is the product with c and d swapped;
+  * a/b + c/b is ((a + c)/g) / (b/g) with g = gcd(a + c, b), and a
+    substitution of rationals divides the substituted a and b by their
+    gcd in the same way;
   * a/b + c/d, for b != d, takes g = gcd(b, d).  If g is constant,
     (ad + cb)/(bd) is reduced; otherwise t = a(d/g) + c(b/g) and
-    g2 = gcd(t, g) give the reduced (t/g2) / ((b/g)(d/g2));
-  * a gcd with a constant argument is 1 and is not taken;
-  * a power is num^n / den^n, reduced by Gauss's lemma, and its leading
+    g2 = gcd(t, g) give (t/g2) / ((b/g)(d/g2));
+  * a power is a^n / b^n, reduced by Gauss's lemma, and its leading
     coefficient stays positive because graded-lex leading terms multiply.
 
-These gcds are of the operands' factors, never of a full product, and
-they are exact only because every operand is reduced: so only this
-module builds a Scalar.  Each result then only needs the content and
-sign of its denominator fixed.  Parsing, `subs` and a sum over equal
-denominators go through the normalising constructor, and a result
-always lives in the left operand's field.
+These gcds are exact only because every operand is reduced.  Each result
+then only needs the content and sign of its denominator fixed by
+`_reduced`, and it lives in the left operand's field.
 """
 
 from __future__ import annotations
@@ -363,19 +363,23 @@ def _cancel(p, g):
     return p if g is None else _exact_div(p, g)
 
 
-def _primitive_denominator(num, den):
-    """num and den divided by the signed content of den, so that den has
-    integer coprime coefficients and a positive leading one."""
+def _reduced(field, num, den):
+    """The Scalar num/den for coprime num and den: both are divided by the
+    signed content of den, so that den has integer coprime coefficients
+    and a positive leading one."""
     content, sign = den.content_sign()
     factor = 1 / (content * sign)
-    if factor == 1:
-        return num, den
-    return num * factor, den * factor
+    if factor != 1:
+        num, den = num * factor, den * factor
+    return Scalar(field, num, den)
 
 
-def _reduced(field, num, den):
-    """The Scalar num/den for coprime num and den."""
-    return Scalar(field, *_primitive_denominator(num, den), _normalized=True)
+def _quotient(field, a, b):
+    """a/b for nonzero b: zero, or a and b divided by their gcd."""
+    if a.is_zero():
+        return field.zero()
+    g = _gcd_unless_constant(a, b)
+    return _reduced(field, _cancel(a, g), _cancel(b, g))
 
 
 def _product(field, a, b, c, d):
@@ -387,7 +391,9 @@ def _product(field, a, b, c, d):
 
 
 def _sum(field, a, b, c, d):
-    """a/b + c/d for reduced operands with b != d, so the sum is nonzero."""
+    """a/b + c/d for reduced operands."""
+    if b == d:
+        return _quotient(field, a + c, b)
     g = _gcd_unless_constant(b, d)
     if g is None:
         return _reduced(field, a * d + c * b, b * d)
@@ -402,24 +408,11 @@ class Scalar:
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num, den, _normalized=False):
+    def __init__(self, field, num, den):
+        """num/den, already reduced; only this module's arithmetic builds one."""
         self.field = field
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("scalar with zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = field._unit
-            return
-        if not den.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-        self.num, self.den = _primitive_denominator(num, den)
+        self.num = num
+        self.den = den
 
     # -- coercion -----------------------------------------------------------
 
@@ -449,8 +442,7 @@ class Scalar:
             return self.field._constant(op(n1[origin], n2[origin]))
         if op is operator.truediv:
             return None
-        return Scalar(self.field, op(self.num, other.num), self.field._unit,
-                      _normalized=True)
+        return Scalar(self.field, op(self.num, other.num), self.field._unit)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -465,8 +457,6 @@ class Scalar:
         fast = self._polynomial_op(other, operator.add)
         if fast is not None:
             return fast
-        if self.den == other.den:
-            return Scalar(self.field, self.num + other.num, self.den)
         return _sum(self.field, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
@@ -482,8 +472,6 @@ class Scalar:
         fast = self._polynomial_op(other, operator.sub)
         if fast is not None:
             return fast
-        if self.den == other.den:
-            return Scalar(self.field, self.num - other.num, self.den)
         return _sum(self.field, self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
@@ -493,7 +481,7 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(self.field, -self.num, self.den, _normalized=True)
+        return Scalar(self.field, -self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -530,7 +518,7 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return (self.field.one() / self) ** (-n)
-        return Scalar(self.field, self.num ** n, self.den ** n, _normalized=True)
+        return Scalar(self.field, self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -581,7 +569,7 @@ class Scalar:
         den = _subs_poly(self.den, assignment)
         if den.is_zero():
             raise LckError(f"denominator of {self} vanishes under the substitution")
-        return Scalar(self.field, num, den)
+        return _quotient(self.field, num, den)
 
     def __str__(self):
         num = str(self.num)
@@ -626,7 +614,7 @@ class ScalarField:
         # the denominator 1, shared by the Scalars built here: Polynomials
         # are never mutated
         self._unit = Polynomial.constant(self, 1)
-        self._zero = Scalar(self, Polynomial(self, {}), self._unit, _normalized=True)
+        self._zero = Scalar(self, Polynomial(self, {}), self._unit)
         self._one = self._constant(Fraction(1))
 
     def index(self, name):
@@ -649,12 +637,11 @@ class ScalarField:
         """The normal form of a Fraction: zero, or value over the unit."""
         if not value:
             return self._zero
-        return Scalar(self, Polynomial(self, {self._origin: value}), self._unit,
-                      _normalized=True)
+        return Scalar(self, Polynomial(self, {self._origin: value}), self._unit)
 
     def var(self, name):
         num = Polynomial.variable(self, name)
-        return Scalar(self, num, self._unit, _normalized=True)
+        return Scalar(self, num, self._unit)
 
     def leaf(self, node):
         """The Scalar of a num or var leaf for `evaluate`; a call has none."""
@@ -733,7 +720,8 @@ class _Parser:
     def expect(self, value):
         kind, v = self.next()
         if v != value:
-            raise ParseError(f"expected {value!r} in {self.text!r}, got {v!r}")
+            got = "end of input" if kind == "end" else repr(v)
+            raise ParseError(f"expected {value!r} in {self.text!r}, got {got}")
 
     def parse_expr(self):
         node = self.parse_term()
@@ -791,6 +779,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
+        if kind == "end":
+            raise ParseError(f"unexpected end of input in {self.text!r}")
         raise ParseError(f"unexpected token {v!r} in {self.text!r}")
 
 

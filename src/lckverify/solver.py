@@ -19,7 +19,6 @@ from . import linalg
 from .errors import LckError
 from .exterior import KForm, basis_tuples, linear_map_matrix
 from .hermitian import coframe_substitution, dual_to_primal, is_j_invariant
-from .scalars import Scalar
 
 
 @dataclass
@@ -43,7 +42,7 @@ class SolutionSpace:
 def _dedupe_side_conditions(side):
     seen = []
     for s in side:
-        num = s.num.primitive() if isinstance(s, Scalar) else s
+        num = s.num.primitive()
         if num.is_constant():
             continue
         if num not in seen:

@@ -189,6 +189,8 @@ def test_lee_form_error_is_a_failing_record_and_a_bug_propagates(catalog, monkey
     monkeypatch.setattr(catalog_module, "lee_form", bug)
     with pytest.raises(ZeroDivisionError, match="a programming error"):
         verify_entry(catalog.get("rh3"))
+    with pytest.raises(ZeroDivisionError, match="a programming error"):
+        verify_catalog(catalog, ["rh3"])
 
 
 def test_verify_entry_d4p_delta_never_vaisman(catalog):

@@ -318,6 +318,35 @@ def test_singular_chain_step_is_a_failing_record(tmp_path, capsys):
     assert failed[2].endswith(" passed, 2 failed")
 
 
+@pytest.mark.parametrize("entry_id, change", [
+    ("h4", lambda e: e["no_lck"][0].update(theta="e4 +")),
+    ("h4", lambda e: e["replays"][0].update(theta="e4 +")),
+    ("rh3", lambda e: e["equivalences"][0].update(start_omega="e4 +")),
+], ids=["no-lck-theta", "replay-theta", "equivalence-start-omega"])
+def test_unreadable_driver_text_is_a_failing_record(tmp_path, capsys, entry_id, change):
+    """Text that only a driver reads, and cannot read, fails one record
+    ENTRY/verify; the other entry is still verified and the full report is
+    printed with exit 1."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    doc["entries"] = [e for e in doc["entries"] if e["id"] in ("h4", "rh3")]
+    doc["table_rows"] = ["rh3/main"]
+    change(next(e for e in doc["entries"] if e["id"] == entry_id))
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("[PASS]")][:-1] == [
+        f"[FAIL] {entry_id}/verify  residual: ParseError: "
+        "unexpected end of input in 'e4 +' in the form 'e4 +'"]
+    other = "rh3" if entry_id == "h4" else "h4"
+    assert any(line.startswith(f"[PASS] {other}/") for line in lines)
+    assert lines[-1].endswith(" passed, 1 failed")
+
+
 def _rr3_1_catalog(tmp_path, change):
     """A catalog of `rr3_1` alone, its entry edited by `change`."""
     from lckverify.catalog import builtin_catalog_text

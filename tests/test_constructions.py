@@ -49,7 +49,7 @@ def test_extension_by_zero_derivation():
 
 
 def test_extension_by_rotation_derivation():
-    r2 = LieAlgebra.abelian(QQ, 2)
+    r2 = parse_salamon("0,0")
     B = mat(QQ, [[0, -1], [1, 0]])
     h = extension_by_derivation(r2, B)
     assert h.dim == 3 and h.jacobi_holds()
@@ -102,7 +102,7 @@ def test_representation_of_a_zero_dimensional_base_is_a_named_error():
     """With no base vector there is no fiber matrix to read the fiber size
     from; the builder says so instead of indexing an empty list."""
     with pytest.raises(LckError, match="nonzero base"):
-        extension_by_representation(LieAlgebra.abelian(QQ, 0), [])
+        extension_by_representation(LieAlgebra(QQ, []), [])
 
 
 def test_semidirect_laws_are_not_evaluated_on_valid_input(monkeypatch):

@@ -15,10 +15,11 @@
   arithmetic cancels gcds of the operands' factors, which is exact only
   when every operand is reduced.
 - Every function the benchmark's tracer wraps still exists.
-- Every module-level function and class is named somewhere else: in a
-  package module other than `__init__.py`, outside its own definition,
-  or in the benchmark's scripts.  A public name that only `__all__` or a
-  test reads is dead API.
+- Every module-level function and class, and every method but a
+  dunder, is named somewhere else: in a package module other than
+  `__init__.py`, outside its own definition, or in the benchmark's
+  scripts.  A public name that only `__all__` or a test reads is dead
+  API.
 """
 
 import ast
@@ -184,16 +185,29 @@ def _names(node):
 
 
 def unreferenced_definitions(sources, bench_text):
-    """`file: name` of each module-level function or class in `sources`
-    ({file name: text}) that no other top-level statement of the package
-    names, `__init__.py` aside, and that `bench_text` does not name."""
+    """`file: name` of each module-level function or class, and `file:
+    Class.name` of each method but a dunder, in `sources` ({file name:
+    text}) that nothing else in the package names, `__init__.py` aside:
+    no other top-level statement, and for a method no other statement of
+    its class.  A name that `bench_text` names counts as named."""
     statements = [(fname, node, _names(node))
                   for fname, text in sources.items() if fname != "__init__.py"
                   for node in ast.parse(text).body]
-    return [f"{fname}: {node.name}" for fname, node, _ in statements
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not any(node.name in names for _, other, names in statements if other is not node)
-            and not re.search(rf"\b{node.name}\b", bench_text)]
+    found = []
+    for fname, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        elsewhere = set().union(*(names for _, other, names in statements if other is not node))
+        definitions = [(node.name, node.name, elsewhere)]
+        if isinstance(node, ast.ClassDef):
+            definitions += [(f"{node.name}.{m.name}", m.name,
+                             elsewhere.union(*(_names(o) for o in node.body if o is not m)))
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+        found += [f"{fname}: {label}" for label, name, names in definitions
+                  if name not in names and not re.search(rf"\b{name}\b", bench_text)]
+    return found
 
 
 def test_the_check_sees_an_unreferenced_definition():
@@ -201,11 +215,23 @@ def test_the_check_sees_an_unreferenced_definition():
         "a.py": "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
                 "def again():\n    return again()\n\n\nclass Traced:\n    pass\n\n\n"
                 "def local():\n    pass\n\n\nX = local\n",
-        "b.py": "from .a import used\n\n\nclass B:\n    def dead(self):\n        pass\n",
-        "__init__.py": "from .a import dead\n__all__ = ['dead', 'B']\n",
+        "b.py": "from .a import used\nfrom .c import A\n\n\nclass B:\n"
+                "    def dead(self):\n        pass\n\n\ndef make():\n"
+                "    return A.build()\n\n\nmake()\n",
+        "c.py": "class A:\n"
+                "    def __init__(self):\n        self.helper()\n\n"
+                "    def helper(self):\n        pass\n\n"
+                "    def recurse(self):\n        return self.recurse()\n\n"
+                "    @staticmethod\n    def build():\n        return A()\n\n"
+                "    def traced(self):\n        pass\n\n"
+                "    def __len__(self):\n        return 0\n\n"
+                "    def gone(self):\n        pass\n",
+        "__init__.py": "from .a import dead\nfrom .c import A\n__all__ = ['dead', 'B']\nA.gone\n",
     }
-    assert unreferenced_definitions(sources, "SPANS = {'a.Traced': ('a', 'Traced')}") == [
-        "a.py: dead", "a.py: again", "b.py: B"]
+    bench = "SPANS = {'a.Traced': ('a', 'Traced'), 'c.traced': ('c', 'A.traced')}"
+    assert unreferenced_definitions(sources, bench) == [
+        "a.py: dead", "a.py: again", "b.py: B", "b.py: B.dead", "c.py: A.recurse",
+        "c.py: A.gone"]
 
 
 def test_no_unreferenced_definition():

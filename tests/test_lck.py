@@ -23,7 +23,7 @@ from lckverify.lck import (
     vaisman_test,
     verify_lck,
 )
-from lckverify.liealg import LieAlgebra, parse_salamon
+from lckverify.liealg import parse_salamon
 from lckverify.scalars import QQ, ScalarField
 
 
@@ -117,7 +117,7 @@ def test_lee_form_examples():
     assert theta == parse_form(F, 4, "-e4")
     assert closed
 
-    ab = LieAlgebra.abelian(QQ, 4)
+    ab = parse_salamon("0,0,0,0")
     theta0, closed0 = lee_form(ab, parse_form(QQ, 4, "e12+e34"))
     assert theta0.is_zero() and closed0
 
@@ -305,7 +305,7 @@ def test_morse_novikov_rh3():
 
 
 def test_morse_novikov_abelian():
-    ab = LieAlgebra.abelian(QQ, 4)
+    ab = parse_salamon("0,0,0,0")
     assert morse_novikov_betti(ab, KForm.zero(QQ, 4, 1)) == [1, 4, 6, 4, 1]
 
 

@@ -9,7 +9,7 @@ from lckverify import linalg
 from lckverify.errors import LckError
 from lckverify.exterior import KForm, parse_form
 from lckverify.hermitian import ComplexStructure
-from lckverify.liealg import LieAlgebra, parse_salamon
+from lckverify.liealg import parse_salamon
 from lckverify.scalars import QQ, ScalarField
 from lckverify.solver import (
     degeneracy_certificate,
@@ -52,7 +52,7 @@ def test_twisted_space_rh3():
 
 
 def test_twisted_space_abelian():
-    ab = LieAlgebra.abelian(QQ, 4)
+    ab = parse_salamon("0,0,0,0")
     space = twisted_closed_space(ab, KForm.zero(QQ, 4, 1))
     assert space.dimension == 6
 
