@@ -25,6 +25,7 @@ from .errors import LckError, SchemaError
 from .exterior import parse_form
 from .hermitian import (
     ComplexStructure,
+    automorphism_residual,
     coframe_substitution,
     commutes_with,
     complex_residual,
@@ -393,7 +394,9 @@ def _verify_automorphism(entry, rec):
         matrix = None
         try:
             matrix = _matrix_at(rec.matrix, n, assignment)
-            ok, residual = is_automorphism(g.instantiate(assignment), matrix), ""
+            gq = g.instantiate(assignment)
+            ok = is_automorphism(gq, matrix)
+            residual = "" if ok else automorphism_residual(gq, matrix)
         except LckError as exc:  # the matrix is undefined or singular at the sample
             ok, residual = False, f"{type(exc).__name__}: {exc}"
         commute_ok = not rec.J or matrix is not None and commutes_with(
@@ -489,7 +492,9 @@ def verify_equivalence(entry):
         for k, step in enumerate(rec.chain):
             try:
                 matrix = _matrix_at(step, n, witness)
-                step_ok, residual = is_automorphism(gq, matrix) and commutes_with(matrix, Jq), ""
+                step_ok = is_automorphism(gq, matrix) and commutes_with(matrix, Jq)
+                residual = "" if step_ok else (automorphism_residual(gq, matrix)
+                                               or "not complex-linear")
             except LckError as exc:  # the step is undefined or singular at the witness
                 step_ok, residual = False, f"{type(exc).__name__}: {exc}"
             records.append(Check(f"{prefix}/step{k}", step_ok, witness=rec.witness,

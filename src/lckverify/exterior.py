@@ -316,8 +316,9 @@ def parse_form(field, dim, text, degree=None):
 
     try:
         value = evaluate(text, leaf)
-    except (LckError, TypeError) as exc:
-        raise ParseError(f"{exc} in the form {text!r}") from None
+    except (LckError, TypeError) as exc:  # the text is named once
+        where = "" if repr(text) in str(exc) else f" in the form {text!r}"
+        raise ParseError(f"{exc}{where}") from None
     if not isinstance(value, KForm):
         if not value.is_zero():
             raise ParseError(f"expression {text!r} has no basis form factor")

@@ -115,8 +115,9 @@ def coframe_substitution(matrix, form):
     return out
 
 
-def is_automorphism(g, matrix):
-    """Pullback commutes with the differential on the coframe."""
+def automorphism_residual(g, matrix):
+    """Why the coframe map M is not an automorphism: the first k with
+    d(M^*e^k) != M^*(de^k), and both sides; "" if it is; LckError if singular."""
     if linalg.det(matrix).is_zero():
         raise LckError("candidate automorphism is singular")
     for k in range(1, g.dim + 1):
@@ -124,8 +125,13 @@ def is_automorphism(g, matrix):
         lhs = coframe_substitution(matrix, g.ce_d(ek))
         rhs = g.ce_d(coframe_substitution(matrix, ek))
         if lhs != rhs:
-            return False
-    return True
+            return f"d(M*e{k}) = {rhs}, M*(de{k}) = {lhs}"
+    return ""
+
+
+def is_automorphism(g, matrix):
+    """Pullback commutes with the differential on the coframe."""
+    return not automorphism_residual(g, matrix)
 
 
 def commutes_with(matrix, J):

@@ -235,53 +235,25 @@ class Polynomial:
 
 # -- polynomial gcd ------------------------------------------------------------
 #
-# Two exact short-circuits come first:
+# Short-circuits come first.  Up to units, the divisors of a monomial are
+# monomials, so with a monomial input the gcd is x^m, m the least exponent of
+# each variable over all terms of both inputs.  A common factor of
+# polynomials in disjoint sets of variables (a nonzero constant among them)
+# lies in QQ, so the gcd is 1.
 #
-#   * A monomial input: up to units, the divisors of a monomial are
-#     monomials, so the gcd is x^m with m the least exponent of each
-#     variable over all terms of both inputs.
-#   * No variable occurs in both inputs (a nonzero constant input among
-#     them): a common factor of polynomials in disjoint sets of variables
-#     lies in QQ, so the gcd is 1.
-#
-# Otherwise: content/primitive-part recursion on the last occurring
-# variable, with a primitive pseudo-remainder sequence.  The recursive
-# content gcds meet the short-circuits too.  The result is primitive with
-# positive leading coefficient; in particular the gcd of two nonzero
-# constants is 1.
-
-
-def _degree_in(p, i):
-    return max((e[i] for e in p.terms), default=0)
-
-
-def _coeffs_in(p, i):
-    """Coefficients of p as a polynomial in variable i (dense, by degree)."""
-    d = _degree_in(p, i)
-    coeffs = [Polynomial(p.field, {}) for _ in range(d + 1)]
-    for exps, c in p.terms.items():
-        rest = exps[:i] + (0,) + exps[i + 1:]
-        coeffs[exps[i]] = coeffs[exps[i]] + Polynomial(p.field, {rest: c})
-    return coeffs
-
-
-def _pseudo_rem(p, q, i):
-    """Pseudo-remainder of p by q as polynomials in variable i."""
-    dp, dq = _degree_in(p, i), _degree_in(q, i)
-    qc = _coeffs_in(q, i)
-    lead_q = qc[dq]
-    r = p
-    while not r.is_zero() and _degree_in(r, i) >= dq:
-        rc = _coeffs_in(r, i)
-        dr = len(rc) - 1
-        lead_r = rc[dr]
-        shift = {}
-        for exps, v in lead_r.terms.items():
-            shift[exps[:i] + (exps[i] + dr - dq,) + exps[i + 1:]] = v
-        r = r * lead_q - q * Polynomial(p.field, shift)
-        if not r.is_zero() and _degree_in(r, i) == dr:
-            raise ArithmeticError("pseudo-remainder failed to reduce degree")
-    return r
+# Otherwise GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7, 1989;
+# Geddes, Czapor, Labahn, Algorithms for Computer Algebra, 1992, ch. 7) runs
+# on the integer primitive parts a and b.  The last occurring variable x is
+# set to xi >= 2 min(|a|, |b|) + 2, |.| the largest coefficient; the images'
+# gcd h over Z is taken with one variable fewer and read back xi-adically
+# with symmetric digits.  A primitive candidate that divides a and b is the
+# gcd (CGG 1989, main theorem); otherwise xi grows.  The loop ends: with g
+# the gcd and a', b' its cofactors, h = g(xi) s(xi).  s(xi) is a nonconstant
+# polynomial only for the finitely many xi with x - xi dividing a' or b', or
+# with a component of V(a', b') inside x = xi; for every other xi it is an
+# integer dividing a fixed product of resultants, so a large enough xi reads
+# back s g, whose primitive part is g.  The result is primitive with positive
+# leading coefficient, so the gcd of two nonzero constants is 1.
 
 
 def poly_gcd(p, q):
@@ -299,34 +271,40 @@ def poly_gcd(p, q):
         return Polynomial.constant(p.field, 1)
     # last variable occurring in either polynomial
     var = max(i for i, (a, b) in enumerate(zip(in_p, in_q)) if a or b)
-    cp = _content_in(p, var)
-    cq = _content_in(q, var)
-    c = poly_gcd(cp, cq)
-    a = _exact_div(p, cp)
-    b = _exact_div(q, cq)
-    if _degree_in(a, var) < _degree_in(b, var):
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, var)
-        a, b = b, _primitive_in(r, var)
-    return (c * a).primitive()
-
-
-def _content_in(p, i):
-    """Gcd of the variable-i coefficients of p (a polynomial in fewer vars)."""
-    coeffs = [c for c in _coeffs_in(p, i) if not c.is_zero()]
-    g = coeffs[0].primitive()
-    for c in coeffs[1:]:
+    a, b = p.primitive(), q.primitive()
+    xi = 2 * int(min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values())))) + 2
+    while True:
+        ia, ib = (_subs_poly(f, {p.field.vars[var]: xi}) for f in (a, b))
+        content = int_gcd(*(c.numerator for c in [*ia.terms.values(), *ib.terms.values()]))
+        g = _xi_adic(poly_gcd(ia, ib), content, var, xi)
         if g.is_constant():
-            break
-        g = poly_gcd(g, c)
-    return g
+            return g
+        try:
+            _exact_div(a, g)
+            _exact_div(b, g)
+            return g
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
 
 
-def _primitive_in(p, i):
-    if p.is_zero():
-        return p
-    return _exact_div(p, _content_in(p, i))
+def _xi_adic(h, scale, i, xi):
+    """The primitive part of the polynomial whose coefficients in variable
+    i are the symmetric base-xi digits of the integer coefficients of
+    scale * h, which lacks variable i."""
+    digits = {}
+    for exps, c in h.terms.items():
+        c, k = c.numerator * scale, 0
+        while c:
+            digit = c % xi
+            if 2 * digit > xi:
+                digit -= xi
+            if digit:
+                digits[exps[:i] + (k,) + exps[i + 1:]] = digit
+            c, k = (c - digit) // xi, k + 1
+    content = int_gcd(*digits.values())
+    if digits[max(digits, key=_grlex_key)] < 0:
+        content = -content
+    return Polynomial(h.field, {e: Fraction(d // content) for e, d in digits.items()})
 
 
 def _exact_div(p, d):
@@ -588,16 +566,16 @@ class Scalar:
 def _subs_poly(p, assignment):
     field = p.field
     indexed = {field.index(k): Fraction(v) for k, v in assignment.items()}
-    out = Polynomial(field, {})
+    terms = {}
     for exps, c in p.terms.items():
-        factor = c
         new_exps = list(exps)
         for i, v in indexed.items():
             if exps[i]:
-                factor *= v ** exps[i]
+                c *= v ** exps[i]
                 new_exps[i] = 0
-        out = out + Polynomial(field, {tuple(new_exps): factor})
-    return out
+        key = tuple(new_exps)
+        terms[key] = terms[key] + c if key in terms else c
+    return Polynomial(field, {e: c for e, c in terms.items() if c})
 
 
 class ScalarField:

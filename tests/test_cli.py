@@ -295,6 +295,32 @@ def test_singular_automorphism_at_a_sample_is_a_failing_record(tmp_path, capsys)
     ]
 
 
+def test_failing_automorphism_names_its_equation(tmp_path, capsys):
+    """A non-singular candidate that is not an automorphism fails each
+    sample's record with the first k where d(M*e^k) != M*(de^k), and both
+    sides: doubling the e3, e4 block of rh3's generic matrix breaks
+    de3 = -e12 but keeps it complex-linear."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == "rh3"]
+    doc["entries"], doc["table_rows"] = [entry], ["rh3/main"]
+    [aut] = entry["automorphisms"]
+    aut["matrix"][10] = aut["matrix"][15] = "2*a11^2 + 2*a12^2"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")][1:] == [
+        "[FAIL] rh3/aut:generic@1  automorphism=False complex-linear=True  "
+        "residual: d(M*e3) = -10*e12, M*(de3) = -5*e12  at {a11=2, a12=1, a13=3, a14=-1}",
+        "[FAIL] rh3/aut:generic@2  automorphism=False complex-linear=True  "
+        "residual: d(M*e3) = -2*e12, M*(de3) = -e12  at {a11=0, a12=1, a13=1/2, a14=2}",
+        "17 passed, 3 failed",
+    ]
+
+
 def test_singular_chain_step_is_a_failing_record(tmp_path, capsys):
     """A normalising-chain step that is singular at its witness fails its
     record, and the full report is printed with exit 1."""
@@ -341,7 +367,7 @@ def test_unreadable_driver_text_is_a_failing_record(tmp_path, capsys, entry_id, 
     lines = out.splitlines()
     assert [line for line in lines if not line.startswith("[PASS]")][:-1] == [
         f"[FAIL] {entry_id}/verify  residual: ParseError: "
-        "unexpected end of input in 'e4 +' in the form 'e4 +'"]
+        "unexpected end of input in 'e4 +'"]
     other = "rh3" if entry_id == "h4" else "h4"
     assert any(line.startswith(f"[PASS] {other}/") for line in lines)
     assert lines[-1].endswith(" passed, 1 failed")

@@ -14,6 +14,7 @@ from lckverify.errors import LckError
 from lckverify.exterior import KForm, basis_tuples, parse_form
 from lckverify.hermitian import (
     ComplexStructure,
+    automorphism_residual,
     coframe_substitution,
     complex_residual,
     dual_to_primal,
@@ -142,6 +143,8 @@ def test_is_automorphism_examples():
     assert is_automorphism(r2r2, linalg.identity(QQ, 4))
     pseudo = mat(QQ, [[1, 2, 0, 1], [0, 1, 1, 0], [3, 0, 1, 0], [0, 1, 0, 1]])
     assert not is_automorphism(RH3, pseudo)
+    assert automorphism_residual(RH3, pseudo) == "d(M*e1) = -3*e12, M*(de1) = 0"
+    assert automorphism_residual(r2r2, swap) == ""
     assert not preserves_brackets(RH3, linalg.mat_neg(linalg.transpose(pseudo)))
 
 

@@ -265,14 +265,24 @@ def assert_coprime(p, q):
 
 
 def test_stalled_quotient_operations_finish(time_limit):
-    """Quotients whose sum, taken over the full products, stalls in
-    `poly_gcd`: each of + - * / finishes in well under a second."""
+    """Quotients whose sum, taken over the full products, stalls in a
+    pseudo-remainder gcd: each of + - * / finishes in well under a second,
+    and so do the gcds and operations on that sum s that stalled next."""
     x = F.parse("(2*a*m2 + 2*b*m2 + 3*m1^2)/(5*b - 2*m2)")
     y = F.parse("(-6*a^2 - m2*t4 - 5/2*m1)/(3*b*m2 - 4*m1*t4 + 4*m2)")
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with time_limit(2):
             got = op(x, y)
         assert_reduced_result(op, x, y, got)
+    s = x + y
+    for other in (poly("5*b - 2*m2"), s.den):
+        with time_limit(2):
+            assert poly_gcd(s.num, other) == poly("1")
+    for op, u, v in ((operator.truediv, s, F.parse("a + 1")), (operator.mul, s, s),
+                     (operator.add, s, x)):
+        with time_limit(2):
+            got = op(u, v)
+        assert_reduced_result(op, u, v, got)
 
 
 def test_gcds_with_a_constant_are_skipped(monkeypatch):
@@ -420,6 +430,7 @@ def poly(text):
     ("a + 1", "b + 2", "1"),            # no shared variable
     ("2*a", "4", "1"),                  # constant input
     ("0", "3*a*b", "a*b"),              # zero input
+    ("16 - a", "a^2 + a", "1"),         # xi = 4 reads the images' gcd 4 as a
 ])
 def test_poly_gcd_examples(p, q, g):
     assert poly_gcd(poly(p), poly(q)) == poly(g)
@@ -460,3 +471,105 @@ def test_poly_gcd_random_common_factor():
         assert h.primitive() * _exact_div(g, h.primitive()) == g
         if disjoint:
             assert g == h.primitive()
+
+
+# -- the pseudo-remainder reference gcd -----------------------------------------
+#
+# The gcd that `poly_gcd` used before the heuristic one: content/primitive
+# part recursion on the last occurring variable with a primitive
+# pseudo-remainder sequence, after the same short-circuits.  It evaluates
+# nothing and reads no digits, so it is the tests' reference for the
+# heuristic gcd, on inputs small enough for it to finish.
+
+
+def _degree_in(p, i):
+    return max((e[i] for e in p.terms), default=0)
+
+
+def _coeffs_in(p, i):
+    """Coefficients of p as a polynomial in variable i (dense, by degree)."""
+    d = _degree_in(p, i)
+    coeffs = [Polynomial(p.field, {}) for _ in range(d + 1)]
+    for exps, c in p.terms.items():
+        rest = exps[:i] + (0,) + exps[i + 1:]
+        coeffs[exps[i]] = coeffs[exps[i]] + Polynomial(p.field, {rest: c})
+    return coeffs
+
+
+def _pseudo_rem(p, q, i):
+    """Pseudo-remainder of p by q as polynomials in variable i."""
+    dq = _degree_in(q, i)
+    lead_q = _coeffs_in(q, i)[dq]
+    r = p
+    while not r.is_zero() and _degree_in(r, i) >= dq:
+        rc = _coeffs_in(r, i)
+        dr = len(rc) - 1
+        shift = {exps[:i] + (exps[i] + dr - dq,) + exps[i + 1:]: v
+                 for exps, v in rc[dr].terms.items()}
+        r = r * lead_q - q * Polynomial(p.field, shift)
+        assert r.is_zero() or _degree_in(r, i) < dr
+    return r
+
+
+def _content_in(p, i):
+    """Gcd of the variable-i coefficients of p (a polynomial in fewer vars)."""
+    coeffs = [c for c in _coeffs_in(p, i) if not c.is_zero()]
+    g = coeffs[0].primitive()
+    for c in coeffs[1:]:
+        if g.is_constant():
+            break
+        g = _prs_gcd(g, c)
+    return g
+
+
+def _primitive_in(p, i):
+    return p if p.is_zero() else _exact_div(p, _content_in(p, i))
+
+
+def _prs_gcd(p, q):
+    if p.is_zero():
+        return q.primitive()
+    if q.is_zero():
+        return p.primitive()
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        least = tuple(map(min, zip(*p.terms, *q.terms)))
+        return Polynomial(p.field, {least: Fraction(1)})
+    in_p = [any(col) for col in zip(*p.terms)]
+    in_q = [any(col) for col in zip(*q.terms)]
+    if not any(a and b for a, b in zip(in_p, in_q)):
+        return Polynomial.constant(p.field, 1)
+    var = max(i for i, (a, b) in enumerate(zip(in_p, in_q)) if a or b)
+    cp, cq = _content_in(p, var), _content_in(q, var)
+    c = _prs_gcd(cp, cq)
+    a, b = _exact_div(p, cp), _exact_div(q, cq)
+    if _degree_in(a, var) < _degree_in(b, var):
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, _primitive_in(_pseudo_rem(a, b, var), var)
+    return (c * a).primitive()
+
+
+def test_poly_gcd_matches_the_prs_reference(time_limit):
+    """gcd(p*h, q*h) on 300 seeded pairs with a planted factor h, each of
+    p, q, h of up to two, three or four terms in a random subset of the
+    variables, is the PRS reference's gcd.  Where the reference runs past
+    its second, the gcd is checked to divide both inputs and to leave
+    coprime cofactors; most pairs are compared."""
+    rng = random.Random("planted")
+    unchecked = 0
+    for _ in range(300):
+        names = [v for v in F.vars if rng.random() < 0.7] or [F.vars[0]]
+        p, q, h = (random_poly(rng, names, max_terms=rng.choice([2, 3, 4]))
+                   for _ in range(3))
+        ph, qh = p * h, q * h
+        with time_limit(2):
+            g = poly_gcd(ph, qh)
+        try:
+            with time_limit(1):
+                want = _prs_gcd(ph, qh)
+        except TimeoutError:
+            unchecked += 1
+            assert_coprime(_exact_div(ph, g), _exact_div(qh, g))
+            continue
+        assert g == want
+    assert unchecked <= 30
