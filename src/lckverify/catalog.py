@@ -15,13 +15,13 @@ so a transcription error anywhere surfaces as a failed check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
 
 from . import linalg
-from .errors import LckError, SchemaError
+from .errors import READ_ERRORS, LckError, SchemaError
 from .exterior import parse_form
 from .hermitian import (
     ComplexStructure,
@@ -207,11 +207,25 @@ class Catalog:
 # -- loading -------------------------------------------------------------------
 
 
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "list": (list, "a list"), "dict": (dict, "an object")}
+
+
 def _dataclass_from(cls, raw, location):
+    """The record `cls` of the JSON object `raw`; each field annotated
+    str, int, list or dict holds that JSON type, or None where that is
+    its default."""
     try:
-        return cls(**raw)
+        record = cls(**raw)
     except TypeError as exc:
         raise SchemaError(location, str(exc)) from None
+    for f in fields(cls):
+        value = getattr(record, f.name)
+        if f.type in _JSON_TYPES and not (value is None and f.default is None):
+            kind, what = _JSON_TYPES[f.type]
+            if not isinstance(value, kind):
+                raise SchemaError(f"{location}.{f.name}", f"expected {what}, got {value!r}")
+    return record
 
 
 def load_catalog(text):
@@ -220,25 +234,26 @@ def load_catalog(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("$", f"expected an object, got {doc!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("$.schema_version",
                           f"expected {SCHEMA_VERSION}, got {doc.get('schema_version')}")
-    entries = []
-    for i, raw in enumerate(doc.get("entries", [])):
+    catalog = _dataclass_from(Catalog, {"entries": doc.get("entries", []),
+                                        "table_rows": doc.get("table_rows", [])}, "$")
+    for i, raw in enumerate(catalog.entries):
         loc = f"$.entries[{i}]"
-        raw = dict(raw)
+        entry = _dataclass_from(CatalogEntry, raw, loc)
         for key, cls in (("complex_structures", JRecord),
                          ("automorphisms", AutRecord),
                          ("lck_families", FamilyRecord),
                          ("no_lck", NoLckRecord),
                          ("replays", ReplayRecord),
                          ("equivalences", EquivalenceRecord)):
-            raw[key] = [_dataclass_from(cls, r, f"{loc}.{key}[{k}]")
-                        for k, r in enumerate(raw.get(key, []))]
-        entry = _dataclass_from(CatalogEntry, raw, loc)
+            setattr(entry, key, [_dataclass_from(cls, r, f"{loc}.{key}[{k}]")
+                                 for k, r in enumerate(getattr(entry, key))])
         _validate_entry(entry, loc)
-        entries.append(entry)
-    catalog = Catalog(entries, doc.get("table_rows", []))
+        catalog.entries[i] = entry
     missing = [r for r in catalog.table_rows if r not in catalog.family_ids()]
     if missing:
         raise SchemaError("$.table_rows", f"rows without catalog data: {missing}")
@@ -254,13 +269,18 @@ def _region(field, texts, location, base=()):
     for k, text in enumerate(texts):
         try:
             region.append(Constraint.parse(field, text))
-        except (LckError, TypeError) as exc:
+        except READ_ERRORS as exc:
             raise SchemaError(f"{location}[{k}]", f"cannot read {text!r}: {exc}") from None
     return region
 
 
-def _check_point(raw, region, location):
-    point = rational_point(raw)
+def _check_point(region, location, *raws):
+    """The rational point that merges the mappings `raws` is readable and
+    lies in `region`."""
+    try:
+        point = rational_point({k: v for raw in raws for k, v in raw.items()})
+    except READ_ERRORS as exc:
+        raise SchemaError(location, f"cannot read {raws[-1]!r}: {exc}") from None
     for c in region:
         if not c.holds_at(point):
             raise SchemaError(location, f"violates constraint {c}")
@@ -271,7 +291,7 @@ def _validate_entry(entry, loc):
     n = len(entry.salamon.split(","))
     entry.param_constraints = _region(ScalarField(entry.names()), entry.param_constraints,
                                       f"{loc}.param_constraints")
-    _check_point(entry.center_witness, entry.param_constraints, f"{loc}.center_witness")
+    _check_point(entry.param_constraints, f"{loc}.center_witness", entry.center_witness)
     names = set()
     for j, rec in enumerate(entry.complex_structures):
         if rec.name in names:
@@ -286,8 +306,8 @@ def _validate_entry(entry, loc):
         rec.constraints = _region(ScalarField(entry.names(rec.params)), rec.constraints,
                                   f"{aloc}.constraints", entry.param_constraints)
         for k, sample in enumerate(rec.samples):
-            _check_point({**entry.center_witness, **sample}, rec.constraints,
-                         f"{aloc}.samples[{k}]")
+            _check_point(rec.constraints, f"{aloc}.samples[{k}]", entry.center_witness,
+                         sample)
     for j, fam in enumerate(entry.lck_families):
         floc = f"{loc}.lck_families[{j}]"
         if fam.J not in names:
@@ -301,13 +321,14 @@ def _validate_entry(entry, loc):
             s = entry.family_structure(fam)
         except SchemaError:
             raise
-        except Exception as exc:
+        except READ_ERRORS as exc:
             raise SchemaError(floc, f"cannot build structure: {exc}") from None
         for k, w in enumerate(s.witnesses):
-            _check_point(w, s.constraints, f"{floc}.witnesses[{k}]")
+            _check_point(s.constraints, f"{floc}.witnesses[{k}]", w)
             if s.theta.instantiate(w).is_zero():
                 raise SchemaError(f"{floc}.witnesses[{k}]", "theta vanishes")
-        if isinstance(fam.vaisman, dict) and set(fam.vaisman) == {"iff"}:
+        if (isinstance(fam.vaisman, dict) and set(fam.vaisman) == {"iff"}
+                and isinstance(fam.vaisman["iff"], list)):
             fam.vaisman["iff"] = _region(s.algebra.field, fam.vaisman["iff"],
                                          f"{floc}.vaisman.iff")
         elif fam.vaisman not in ("always", "never"):
@@ -319,6 +340,8 @@ def _validate_entry(entry, loc):
             raise SchemaError(f"{loc}.no_lck[{j}]", f"bad obstruction kind {rec.kind!r}")
         if rec.space not in ("twisted", "lck"):
             raise SchemaError(f"{loc}.no_lck[{j}]", f"bad space {rec.space!r}")
+    for j, rec in enumerate(entry.equivalences):
+        _check_point((), f"{loc}.equivalences[{j}].witness", rec.witness)
 
 
 def builtin_catalog_text():

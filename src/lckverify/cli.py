@@ -34,7 +34,7 @@ from .constructions import (
     ot_algebra,
     unimodularity_check,
 )
-from .errors import LckError, SchemaError, UsageError
+from .errors import READ_ERRORS, LckError, SchemaError, UsageError
 from .exterior import parse_form
 from .hermitian import ComplexStructure
 from .lck import Check, LcKStructure, lee_form, morse_novikov_betti, vaisman_test
@@ -164,7 +164,7 @@ def _read(parse, value, where):
     """`parse(value)`, with a bad value reported as a usage error at `where`."""
     try:
         return parse(value)
-    except (LckError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except READ_ERRORS as exc:
         raise UsageError(f"{where}: cannot read {value!r}: {exc}") from None
 
 

@@ -25,3 +25,9 @@ class SchemaError(LckError):
 
 class UsageError(LckError):
     """Bad command-line input; the CLI exits with 2."""
+
+
+#: What reading outside text or JSON values can raise: a ParseError or
+#: other LckError, Fraction's errors, and those of a value of the wrong
+#: JSON type.
+READ_ERRORS = (LckError, ValueError, TypeError, AttributeError, ZeroDivisionError)

@@ -28,7 +28,9 @@ reduced, so every result is reduced on one of three paths:
     / are one Fraction operation;
   * everything else, `subs` included, cancels gcds of the operands'
     factors before it multiplies, as for rational numbers (Henrici,
-    J. ACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1).
+    J. ACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1).  Each quotient
+    by a gcd is a cofactor that `poly_gcd` returns from the division
+    check that proves its gcd, the only exact division.
 
 With a/b and c/d reduced, and a gcd with a constant argument taken as 1
 without computing it:
@@ -38,9 +40,9 @@ without computing it:
   * a/b + c/b is ((a + c)/g) / (b/g) with g = gcd(a + c, b), and a
     substitution of rationals divides the substituted a and b by their
     gcd in the same way;
-  * a/b + c/d, for b != d, takes g = gcd(b, d).  If g is constant,
-    (ad + cb)/(bd) is reduced; otherwise t = a(d/g) + c(b/g) and
-    g2 = gcd(t, g) give (t/g2) / ((b/g)(d/g2));
+  * a/b + c/d, for b != d, takes g = gcd(b, d), t = a(d/g) + c(b/g) and
+    g2 = gcd(t, g), and is (t/g2) / ((b/g)(g/g2)(d/g)); with g = 1 this
+    is (ad + cb)/(bd);
   * a power is a^n / b^n, reduced by Gauss's lemma, and its leading
     coefficient stays positive because graded-lex leading terms multiply.
 
@@ -235,40 +237,48 @@ class Polynomial:
 
 # -- polynomial gcd ------------------------------------------------------------
 #
-# Short-circuits come first.  Up to units, the divisors of a monomial are
-# monomials, so with a monomial input the gcd is x^m, m the least exponent of
-# each variable over all terms of both inputs.  A common factor of
-# polynomials in disjoint sets of variables (a nonzero constant among them)
-# lies in QQ, so the gcd is 1.
+# The gcd g comes with its cofactors p/g and q/g.  Short-circuits come
+# first.  Up to units, the divisors of a monomial are monomials, so with a
+# monomial input the gcd is x^m, m the least exponent of each variable over
+# all terms of both inputs, and the cofactors shift exponents.  A common
+# factor of polynomials in disjoint sets of variables (a nonzero constant
+# among them) lies in QQ, so the gcd is 1, with cofactors p and q.
 #
 # Otherwise GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7, 1989;
 # Geddes, Czapor, Labahn, Algorithms for Computer Algebra, 1992, ch. 7) runs
 # on the integer primitive parts a and b.  The last occurring variable x is
 # set to xi >= 2 min(|a|, |b|) + 2, |.| the largest coefficient; the images'
 # gcd h over Z is taken with one variable fewer and read back xi-adically
-# with symmetric digits.  A primitive candidate that divides a and b is the
-# gcd (CGG 1989, main theorem); otherwise xi grows.  The loop ends: with g
-# the gcd and a', b' its cofactors, h = g(xi) s(xi).  s(xi) is a nonconstant
-# polynomial only for the finitely many xi with x - xi dividing a' or b', or
-# with a component of V(a', b') inside x = xi; for every other xi it is an
-# integer dividing a fixed product of resultants, so a large enough xi reads
-# back s g, whose primitive part is g.  The result is primitive with positive
-# leading coefficient, so the gcd of two nonzero constants is 1.
+# with symmetric digits.  A primitive candidate that divides p and q (as it
+# does exactly when it divides a and b) is the gcd (CGG 1989, main theorem),
+# and the quotients are its cofactors: this check is the only exact division
+# in the module.  Otherwise xi grows.  The loop ends: with g the gcd and a',
+# b' its cofactors, h = g(xi) s(xi).  s(xi) is a nonconstant polynomial only
+# for the finitely many xi with x - xi dividing a' or b', or with a component
+# of V(a', b') inside x = xi; for every other xi it is an integer dividing a
+# fixed product of resultants, so a large enough xi reads back s g, whose
+# primitive part is g.  The result is primitive with positive leading
+# coefficient, so the gcd of two nonzero constants is 1.
 
 
 def poly_gcd(p, q):
-    """Gcd of two polynomials, primitive with positive leading coefficient."""
-    if p.is_zero():
-        return q.primitive()
-    if q.is_zero():
-        return p.primitive()
+    """Gcd g of two polynomials, primitive with positive leading coefficient,
+    and the cofactors p/g and q/g."""
+    if p.is_zero() or q.is_zero():
+        f = q if p.is_zero() else p
+        content, sign = f.content_sign()
+        g, unit = f.primitive(), Polynomial.constant(f.field, content * sign)
+        return (g, p, unit) if f is q else (g, unit, q)
     if len(p.terms) == 1 or len(q.terms) == 1:
         least = tuple(map(min, zip(*p.terms, *q.terms)))
-        return Polynomial(p.field, {least: Fraction(1)})
+        if any(least):
+            p, q = (Polynomial(f.field, {tuple(map(operator.sub, e, least)): c
+                                         for e, c in f.terms.items()}) for f in (p, q))
+        return Polynomial(p.field, {least: Fraction(1)}), p, q
     in_p = [any(col) for col in zip(*p.terms)]
     in_q = [any(col) for col in zip(*q.terms)]
     if not any(a and b for a, b in zip(in_p, in_q)):
-        return Polynomial.constant(p.field, 1)
+        return Polynomial.constant(p.field, 1), p, q
     # last variable occurring in either polynomial
     var = max(i for i, (a, b) in enumerate(zip(in_p, in_q)) if a or b)
     a, b = p.primitive(), q.primitive()
@@ -276,13 +286,11 @@ def poly_gcd(p, q):
     while True:
         ia, ib = (_subs_poly(f, {p.field.vars[var]: xi}) for f in (a, b))
         content = int_gcd(*(c.numerator for c in [*ia.terms.values(), *ib.terms.values()]))
-        g = _xi_adic(poly_gcd(ia, ib), content, var, xi)
+        g = _xi_adic(poly_gcd(ia, ib)[0], content, var, xi)
         if g.is_constant():
-            return g
+            return g, p, q
         try:
-            _exact_div(a, g)
-            _exact_div(b, g)
-            return g
+            return g, _exact_div(p, g), _exact_div(q, g)
         except ArithmeticError:
             xi = xi * 73794 // 27011
 
@@ -308,12 +316,8 @@ def _xi_adic(h, scale, i, xi):
 
 
 def _exact_div(p, d):
-    """Exact division p / d; raises if the division is not exact."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if d.is_constant():
-        inv = 1 / d.constant_value()
-        return Polynomial(p.field, {e: c * inv for e, c in p.terms.items()})
+    """Exact division p / d by a nonzero d; raises ArithmeticError if the
+    division is not exact."""
     quot = {}
     r = p
     d_exps, d_coeff = d.leading()
@@ -328,17 +332,12 @@ def _exact_div(p, d):
     return Polynomial(p.field, quot)
 
 
-def _gcd_unless_constant(p, q):
-    """gcd(p, q) of nonzero p and q, or None when it is 1; it is not taken
-    when either is constant."""
-    if q.is_constant() or p.is_constant():
-        return None
-    g = poly_gcd(p, q)
-    return None if g.is_constant() else g
-
-
-def _cancel(p, g):
-    return p if g is None else _exact_div(p, g)
+def _cofactors(p, q):
+    """poly_gcd(p, q) of nonzero p and q; a gcd with a constant argument is
+    1, with p and q as cofactors, and is not computed."""
+    if p.is_constant() or q.is_constant():
+        return p.field._unit, p, q
+    return poly_gcd(p, q)
 
 
 def _reduced(field, num, den):
@@ -356,29 +355,24 @@ def _quotient(field, a, b):
     """a/b for nonzero b: zero, or a and b divided by their gcd."""
     if a.is_zero():
         return field.zero()
-    g = _gcd_unless_constant(a, b)
-    return _reduced(field, _cancel(a, g), _cancel(b, g))
+    _, a1, b1 = _cofactors(a, b)
+    return _reduced(field, a1, b1)
 
 
 def _product(field, a, b, c, d):
     """(a/b)(c/d) for reduced nonzero operands."""
-    g1 = _gcd_unless_constant(a, d)
-    g2 = _gcd_unless_constant(c, b)
-    return _reduced(field, _cancel(a, g1) * _cancel(c, g2),
-                    _cancel(b, g2) * _cancel(d, g1))
+    _, a1, d1 = _cofactors(a, d)
+    _, c1, b1 = _cofactors(c, b)
+    return _reduced(field, a1 * c1, b1 * d1)
 
 
 def _sum(field, a, b, c, d):
     """a/b + c/d for reduced operands."""
     if b == d:
         return _quotient(field, a + c, b)
-    g = _gcd_unless_constant(b, d)
-    if g is None:
-        return _reduced(field, a * d + c * b, b * d)
-    b1, d1 = _exact_div(b, g), _exact_div(d, g)
-    t = a * d1 + c * b1
-    g2 = _gcd_unless_constant(t, g)
-    return _reduced(field, _cancel(t, g2), b1 * _cancel(d, g2))
+    g, b1, d1 = _cofactors(b, d)
+    _, t1, g1 = _cofactors(a * d1 + c * b1, g)
+    return _reduced(field, t1, b1 * (g1 * d1))
 
 
 class Scalar:

@@ -59,6 +59,17 @@ def test_load_rejects_bad_schema_version():
         load_catalog('{"schema_version": 99, "entries": []}')
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[]", "$: expected an object, got []"),
+    ('{"schema_version": 1, "entries": 5}', "$.entries: expected a list, got 5"),
+    ('{"schema_version": 1, "entries": [5]}', "$.entries[0]: "),
+], ids=["document", "entries", "entry"])
+def test_load_rejects_a_document_of_the_wrong_shape(text, error):
+    with pytest.raises(SchemaError) as err:
+        load_catalog(text)
+    assert str(err.value).startswith(error)
+
+
 def test_load_rejects_witness_outside_region():
     doc = json.loads(builtin_catalog_text())
     entry = next(e for e in doc["entries"] if e["id"] == "rh3")
@@ -108,6 +119,42 @@ def test_load_reads_every_region_and_checks_every_point(entry_id, change, locati
     ids = [e["id"] for e in json.loads(builtin_catalog_text())["entries"]]
     assert err.value.location == f"$.entries[{ids.index(entry_id)}].{location}"
     assert message in err.value.message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda f: f["witnesses"][0].update(s="abc"), "Invalid literal for Fraction: 'abc'"),
+    (lambda f: f["witnesses"][0].update(s=[1]),
+     "argument should be a string or a Rational instance"),
+    (lambda f: f["witnesses"][0].update(s="1/0"), "Fraction(1, 0)"),
+    (lambda f: f.update(witnesses=[1, 2]), "'int' object has no attribute 'items'"),
+    (lambda f: f.update(theta="e1 +"), "unexpected end of input in 'e1 +'"),
+], ids=["ValueError", "TypeError", "ZeroDivisionError", "AttributeError", "ParseError"])
+def test_unbuildable_family_is_a_located_schema_error(change, message):
+    """Each type of error that bad family text raises while its structure is
+    built is a SchemaError at the family's JSON path."""
+    with pytest.raises(SchemaError) as err:
+        _load_with("rh3", lambda e: change(e["lck_families"][0]))
+    ids = [e["id"] for e in json.loads(builtin_catalog_text())["entries"]]
+    assert str(err.value) == (f"$.entries[{ids.index('rh3')}].lck_families[0]: "
+                              f"cannot build structure: {message}")
+
+
+@pytest.mark.parametrize("entry_id, change, location, message", [
+    ("rh3", lambda e: e["lck_families"][0].update(params="s"),
+     "lck_families[0].params", "expected a list, got 's'"),
+    ("rh3", lambda e: e["lck_families"][0].update(constraints="s > 0"),
+     "lck_families[0].constraints", "expected a list, got 's > 0'"),
+    ("gl2", lambda e: e["lck_families"][0]["vaisman"].update(iff="w23 = 0"),
+     "lck_families[0]", "bad vaisman value {'iff': 'w23 = 0'}"),
+], ids=["params", "constraints", "vaisman-iff"])
+def test_a_string_for_a_list_is_a_schema_error(entry_id, change, location, message):
+    """A string where the schema wants a list of strings is not read
+    character by character: loading fails at its JSON path."""
+    with pytest.raises(SchemaError) as err:
+        _load_with(entry_id, change)
+    ids = [e["id"] for e in json.loads(builtin_catalog_text())["entries"]]
+    assert err.value.location == f"$.entries[{ids.index(entry_id)}].{location}"
+    assert err.value.message == message
 
 
 def test_regions_are_parsed_once_at_load(monkeypatch):

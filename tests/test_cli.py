@@ -373,6 +373,42 @@ def test_unreadable_driver_text_is_a_failing_record(tmp_path, capsys, entry_id, 
     assert lines[-1].endswith(" passed, 1 failed")
 
 
+@pytest.mark.parametrize("entry_id, change, location", [
+    ("rr3p_gamma", lambda e: e.update(center_witness={"g": "abc"}),
+     "$.entries[0].center_witness: cannot read {'g': 'abc'}: "
+     "Invalid literal for Fraction: 'abc'"),
+    ("rr3_1", lambda e: e["automorphisms"][0]["samples"][0].update(a22="1/0"),
+     "$.entries[0].automorphisms[0].samples[0]: cannot read "
+     "{'a22': '1/0', 'a23': '0'}: Fraction(1, 0)"),
+    ("rh3", lambda e: e.update(salamon=5), "$.entries[0].salamon: expected a string, got 5"),
+    ("rh3", lambda e: e.update(params=5), "$.entries[0].params: expected a list, got 5"),
+    ("rh3", lambda e: e["complex_structures"][0].update(matrix=5),
+     "$.entries[0].complex_structures[0].matrix: expected a list, got 5"),
+    ("rh3", lambda e: e["equivalences"][0]["witness"].update(t1="abc"),
+     "$.entries[0].equivalences[0].witness: cannot read "
+     "{'t1': 'abc', 't2': '1', 't4': '-4', 'w34': '1'}: Invalid literal for Fraction: 'abc'"),
+], ids=["center-witness", "automorphism-sample", "salamon", "params", "j-matrix",
+        "equivalence-witness"])
+def test_unreadable_catalog_value_is_a_located_usage_error(tmp_path, capsys, entry_id,
+                                                           change, location):
+    """A catalog value of the wrong JSON type, or a point that is not
+    rational, fails at load with its JSON path and exit 2, equivalence
+    witnesses included, which only a driver uses."""
+    from lckverify.catalog import builtin_catalog_text
+
+    doc = json.loads(builtin_catalog_text())
+    [entry] = [e for e in doc["entries"] if e["id"] == entry_id]
+    doc["entries"] = [entry]
+    doc["table_rows"] = [r for r in doc["table_rows"] if r.startswith(f"{entry_id}/")]
+    change(entry)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-table", "--catalog", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: --catalog: cannot read {path}: {location}\n"
+
+
 def _rr3_1_catalog(tmp_path, change):
     """A catalog of `rr3_1` alone, its entry edited by `change`."""
     from lckverify.catalog import builtin_catalog_text

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,8 +111,7 @@ def _normal_form(field, num, den):
     reference, independent of the arithmetic's cancellation of factors."""
     if num.is_zero():
         return field.zero()
-    g = poly_gcd(num, den)
-    num, den = _exact_div(num, g), _exact_div(den, g)
+    _, num, den = poly_gcd(num, den)
     content, sign = den.content_sign()
     factor = 1 / (content * sign)
     return Scalar(field, num * factor, den * factor)
@@ -258,7 +258,7 @@ def assert_coprime(p, q):
                      for v in p.field.vars if v != name}
             image = _subs_poly(p, point)
             if (max((e[i] for e in image.terms), default=0) == degree
-                    and poly_gcd(image, _subs_poly(q, point)).is_constant()):
+                    and poly_gcd(image, _subs_poly(q, point))[0].is_constant()):
                 break
         else:
             pytest.fail(f"no point shows {p} and {q} coprime in {name}")
@@ -277,7 +277,7 @@ def test_stalled_quotient_operations_finish(time_limit):
     s = x + y
     for other in (poly("5*b - 2*m2"), s.den):
         with time_limit(2):
-            assert poly_gcd(s.num, other) == poly("1")
+            assert poly_gcd(s.num, other)[0] == poly("1")
     for op, u, v in ((operator.truediv, s, F.parse("a + 1")), (operator.mul, s, s),
                      (operator.add, s, x)):
         with time_limit(2):
@@ -322,6 +322,44 @@ def test_gcds_with_a_constant_are_skipped(monkeypatch):
         calls.clear()
         value()
         assert len(calls) == count
+
+
+def test_cancellation_divides_only_inside_the_gcd(monkeypatch):
+    """The only exact division is `poly_gcd`'s check of its candidate, whose
+    quotients are the cofactors that a sum, product, quotient or
+    substitution keeps: the arithmetic never divides by a gcd again.  The
+    operations of `test_gcds_with_a_constant_are_skipped` run with ones
+    that cancel a monomial or a polynomial gcd."""
+    import lckverify.scalars as scalars
+
+    callers = []
+    divide = scalars._exact_div
+
+    def recorded(p, d):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return divide(p, d)
+
+    monkeypatch.setattr(scalars, "_exact_div", recorded)
+    q = F.parse("(a^2 + m1)/(a*b - 3*m2 + 1)")
+    p = F.parse("a*m1 - b + 2")
+    r = F.parse("(2 - a^2)/(a*b - 3*m2 + 1)")
+    u = F.parse("(5 - a^2 - m1)/(a*b - 3*m2 + 1)")
+    for value in (q ** 3, q + p, q - p, q * 3, q / 3, q * p, p * q, q / p, q + r, q - r,
+                  q + u, q - q, q.subs({"m2": 1}), q.subs({"a": 0}),
+                  q.subs({"a": 0, "m1": 1}), q.subs({"a": 0, "m2": 0})):
+        assert value.den.content_sign() == (1, 1)
+    x = F.parse("(a^2 - b^2)/(m1 + 1)")
+    for value, want in ((x * F.parse("(m1 + 1)/(a + b)"), "a - b"),
+                        (x / F.parse("(a - b)/(m2 - 1)"), "(a + b)*(m2 - 1)/(m1 + 1)"),
+                        (F.parse("a*b/(m1 + 1)") * F.parse("(m1 + 2)/(a*m2 + a)"),
+                         "b*(m1 + 2)/((m1 + 1)*(m2 + 1))"),
+                        (F.parse("1/(a*b + b^2)") + F.parse("1/(a^2 + a*b)"), "1/(a*b)"),
+                        (F.parse("1/((a + b)*(m1 + 1))") - F.parse("1/((a + b)*(m2 + 1))"),
+                         "(m2 - m1)/((a + b)*(m1 + 1)*(m2 + 1))"),
+                        (F.parse("(a*m1 + b)/(a + b*m1)").subs({"m1": 1}), "1"),
+                        (F.parse("(a*m1 + a*b)/(a*t4 + m1)").subs({"m1": 0}), "b/t4")):
+        assert value == F.parse(want)
+    assert callers and set(callers) == {"poly_gcd"}
 
 
 def test_polynomial_operands_skip_normalisation(monkeypatch):
@@ -433,8 +471,10 @@ def poly(text):
     ("16 - a", "a^2 + a", "1"),         # xi = 4 reads the images' gcd 4 as a
 ])
 def test_poly_gcd_examples(p, q, g):
-    assert poly_gcd(poly(p), poly(q)) == poly(g)
-    assert poly_gcd(poly(q), poly(p)) == poly(g)
+    for x, y in ((poly(p), poly(q)), (poly(q), poly(p))):
+        got, x1, y1 = poly_gcd(x, y)
+        assert got == poly(g)
+        assert got * x1 == x and got * y1 == y
 
 
 def random_poly(rng, names, max_terms=3, max_exp=2):
@@ -451,8 +491,9 @@ def random_poly(rng, names, max_terms=3, max_exp=2):
 
 
 def test_poly_gcd_random_common_factor():
-    """gcd(p*h, q*h) divides both inputs and is divisible by h; when p and q
-    share no variable it is exactly h, up to a unit."""
+    """gcd(p*h, q*h) divides both inputs, with the returned cofactors, and
+    is divisible by h; when p and q share no variable it is exactly h, up
+    to a unit."""
     rng = random.Random(19)
     for _ in range(120):
         names = list(F.vars)
@@ -464,10 +505,10 @@ def test_poly_gcd_random_common_factor():
         h = random_poly(rng, names, max_terms=rng.choice([1, 1, 2, 3]),
                         max_exp=rng.choice([0, 2]))
         ph, qh = p * h, q * h
-        g = poly_gcd(ph, qh)
+        g, p1, q1 = poly_gcd(ph, qh)
         assert g == g.primitive()
-        assert g * _exact_div(ph, g) == ph
-        assert g * _exact_div(qh, g) == qh
+        assert g * p1 == ph
+        assert g * q1 == qh
         assert h.primitive() * _exact_div(g, h.primitive()) == g
         if disjoint:
             assert g == h.primitive()
@@ -553,8 +594,8 @@ def test_poly_gcd_matches_the_prs_reference(time_limit):
     """gcd(p*h, q*h) on 300 seeded pairs with a planted factor h, each of
     p, q, h of up to two, three or four terms in a random subset of the
     variables, is the PRS reference's gcd.  Where the reference runs past
-    its second, the gcd is checked to divide both inputs and to leave
-    coprime cofactors; most pairs are compared."""
+    its second, the returned cofactors are checked to be coprime; most
+    pairs are compared.  The gcd times each cofactor is its input."""
     rng = random.Random("planted")
     unchecked = 0
     for _ in range(300):
@@ -563,13 +604,14 @@ def test_poly_gcd_matches_the_prs_reference(time_limit):
                    for _ in range(3))
         ph, qh = p * h, q * h
         with time_limit(2):
-            g = poly_gcd(ph, qh)
+            g, p1, q1 = poly_gcd(ph, qh)
+        assert g * p1 == ph and g * q1 == qh
         try:
             with time_limit(1):
                 want = _prs_gcd(ph, qh)
         except TimeoutError:
             unchecked += 1
-            assert_coprime(_exact_div(ph, g), _exact_div(qh, g))
+            assert_coprime(p1, q1)
             continue
         assert g == want
     assert unchecked <= 30
